@@ -21,12 +21,11 @@ from .entropy import (
     h0_bernoulli,
     stationary_distribution,
 )
-from .generators import ProcessSpec, generate, spec_entropy_rate, symmetric_binary_markov
+from .generators import ProcessSpec, generate, symmetric_binary_markov
 from .lzw import (
     CorruptStreamError,
     LzwResult,
     decode,
-    description_length,
     description_length_bound,
     encode,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "CorruptStreamError",
     "encode",
     "decode",
-    "description_length",
     "description_length_bound",
     "EntropyProfile",
     "DegenerateProcessError",
@@ -79,7 +77,6 @@ __all__ = [
     "ProcessSpec",
     "symmetric_binary_markov",
     "generate",
-    "spec_entropy_rate",
     "MetricReport",
     "analyze",
     "rho0",

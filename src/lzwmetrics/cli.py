@@ -4,7 +4,10 @@ Feeds symbol files, CSV recordings, or synthetic generator output through
 the metric pipeline and emits one report per unit (a whole input, or each
 full fixed-length window of it) as JSON lines or CSV rows.  Unit order, and
 therefore output bytes, are deterministic: paths sort lexicographically and
-windows by index.  Failed units are logged to stderr and the run continues.
+windows by index.  Units stream: one input is loaded and cut at a time, and
+each report is written and flushed as soon as its unit is analyzed.  Failed
+units are logged to stderr in unit order, as they happen, and the run
+continues.
 """
 
 from __future__ import annotations
@@ -14,11 +17,14 @@ import csv
 import io
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .entropy import Q_MAX_LIMIT
 from .generators import ProcessSpec, generate, symmetric_binary_markov
 from .metrics import MetricReport, analyze
 from .sequence import (
@@ -36,14 +42,20 @@ class ConfigError(ValueError):
     """Contradictory or malformed run configuration; aborts before any unit."""
 
 
+class GeneratorInput(NamedTuple):
+    """A parsed ``--generate`` spec: its text (the report source), process and length."""
+
+    label: str
+    spec: ProcessSpec
+    n: int
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved configuration for one batch run."""
 
     input_path: str | None
-    generator: str | None
-    generator_spec: ProcessSpec | None
-    generator_n: int | None
+    generator: GeneratorInput | None
     input_format: str
     column: str | None
     digitizer: str
@@ -55,13 +67,6 @@ class RunConfig:
     seed: int
     output_path: str | None
     output_format: str
-
-
-@dataclass(frozen=True)
-class _Unit:
-    source: str
-    window: int | None
-    sequence: SymbolSequence
 
 
 # --- configuration -----------------------------------------------------------
@@ -159,7 +164,7 @@ def _parse_digitizer(text: str) -> tuple[str, int | None]:
     raise ConfigError(f"unknown digitizer {text!r} (use median, quantiles:K, or none)")
 
 
-def _parse_generator_spec(text: str) -> tuple[ProcessSpec, int]:
+def _parse_generator_spec(text: str) -> GeneratorInput:
     kind, sep, rest = text.partition(":")
     if not sep or not rest:
         raise ConfigError(f"generator spec needs parameters: {text!r}")
@@ -198,7 +203,7 @@ def _parse_generator_spec(text: str) -> tuple[ProcessSpec, int]:
         raise ConfigError(f"unused generator parameters {sorted(params)} in {text!r}")
     if n < 1:
         raise ConfigError(f"generator length must be at least 1, got {n}")
-    return spec, n
+    return GeneratorInput(text, spec, n)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -207,12 +212,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         digitizer_raw = "none" if (args.generate or args.format == "symbols") else "median"
     kind, levels = _parse_digitizer(digitizer_raw)
 
-    generator_spec = None
-    generator_n = None
+    generator = None
     if args.generate is not None:
         if kind != "none":
             raise ConfigError("generated sequences are already symbolic; drop --digitizer")
-        generator_spec, generator_n = _parse_generator_spec(args.generate)
+        generator = _parse_generator_spec(args.generate)
     else:
         if args.format == "symbols" and kind != "none":
             raise ConfigError("digitizers apply to numeric input; symbol input needs --digitizer none")
@@ -224,16 +228,19 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--window must be at least 2, got {args.window}")
     if args.alphabet_size < 2:
         raise ConfigError(f"--alphabet-size must be at least 2, got {args.alphabet_size}")
-    if not 1 <= args.qmax <= 16:
-        raise ConfigError(f"--qmax must lie in 1..16, got {args.qmax}")
+    if not 1 <= args.qmax <= Q_MAX_LIMIT:
+        raise ConfigError(f"--qmax must lie in 1..{Q_MAX_LIMIT}, got {args.qmax}")
     if args.surrogates < 0:
         raise ConfigError(f"--surrogates must be non-negative, got {args.surrogates}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    # The output file is opened before the first input is read.
+    if args.output and args.input and Path(args.output).resolve() == Path(args.input).resolve():
+        raise ConfigError("--output would overwrite the --input file")
 
     return RunConfig(
         input_path=args.input,
-        generator=args.generate,
-        generator_spec=generator_spec,
-        generator_n=generator_n,
+        generator=generator,
         input_format=args.format,
         column=args.column,
         digitizer=kind,
@@ -324,82 +331,68 @@ def _load_csv_series(path: str, column: str | None) -> NumericSeries:
     return NumericSeries(np.array(values, dtype=np.float64))
 
 
-def _digitize(series: NumericSeries, config: RunConfig) -> SymbolSequence:
+def _load(source: str, config: RunConfig) -> SymbolSequence | NumericSeries:
+    if config.generator is not None:
+        return generate(config.generator.spec, config.generator.n, config.seed)
+    if config.input_format == "symbols":
+        return _load_symbol_file(source, config.alphabet_size)
+    return _load_csv_series(source, config.column)
+
+
+def _to_symbols(data: SymbolSequence | NumericSeries, config: RunConfig) -> SymbolSequence:
     if config.digitizer == "median":
-        return binarize_median(series)
+        return binarize_median(data)
     if config.digitizer == "quantiles":
-        return digitize_quantiles(series, config.digitizer_levels)
-    raise ValueError(f"cannot digitize with {config.digitizer!r}")
+        return digitize_quantiles(data, config.digitizer_levels)
+    return data
 
 
-def _window_symbols(
-    source: str, seq: SymbolSequence, config: RunConfig
-) -> tuple[list[_Unit], int]:
-    w = config.window_length
-    if w is None:
-        return [_Unit(source, None, seq)], 0
-    full = len(seq) // w
-    units = [
-        _Unit(source, i, SymbolSequence(seq.alphabet, seq.data[i * w : (i + 1) * w]))
-        for i in range(full)
-    ]
-    return units, int(len(seq) % w > 0)
+def _windows(
+    data: SymbolSequence | NumericSeries, w: int
+) -> Iterator[SymbolSequence | NumericSeries | None]:
+    """Full length-w windows of one input in order, then None for a partial rest."""
+    numeric = isinstance(data, NumericSeries)
+    values = data.samples if numeric else data.data
+    for start in range(0, len(values) - w + 1, w):
+        piece = values[start : start + w]
+        yield NumericSeries(piece) if numeric else SymbolSequence(data.alphabet, piece)
+    if len(values) % w:
+        yield None
 
 
-def _window_numeric(
-    source: str, series: NumericSeries, config: RunConfig
-) -> tuple[list[_Unit], int]:
-    # Digitization is per window: each analyzed unit gets its own threshold,
-    # so every window attains the digitizer's entropy guarantee on its own.
-    w = config.window_length
-    if w is None:
-        return [_Unit(source, None, _digitize(series, config))], 0
-    full = len(series) // w
-    units = [
-        _Unit(
-            source,
-            i,
-            _digitize(NumericSeries(series.samples[i * w : (i + 1) * w]), config),
-        )
-        for i in range(full)
-    ]
-    return units, int(len(series) % w > 0)
-
-
-def _iter_source_paths(input_path: str) -> list[str]:
-    root = Path(input_path)
+def _sources(config: RunConfig) -> list[str]:
+    if config.generator is not None:
+        return [config.generator.label]
+    root = Path(config.input_path)
     if root.is_dir():
         return sorted(str(child) for child in root.iterdir() if child.is_file())
     return [str(root)]
 
 
-def _collect_units(config: RunConfig) -> tuple[list[_Unit], list[tuple[str, str]], int]:
-    units: list[_Unit] = []
-    errors: list[tuple[str, str]] = []
-    dropped = 0
-    if config.generator is not None:
-        try:
-            seq = generate(config.generator_spec, config.generator_n, config.seed)
-            new_units, d = _window_symbols(config.generator, seq, config)
-        except ValueError as exc:
-            errors.append((config.generator, str(exc)))
-            return units, errors, dropped
-        units.extend(new_units)
-        return units, errors, d
-    for path in _iter_source_paths(config.input_path):
-        try:
-            if config.input_format == "symbols":
-                seq = _load_symbol_file(path, config.alphabet_size)
-                new_units, d = _window_symbols(path, seq, config)
-            else:
-                series = _load_csv_series(path, config.column)
-                new_units, d = _window_numeric(path, series, config)
-        except (OSError, ValueError) as exc:
-            errors.append((path, str(exc)))
-            continue
-        units.extend(new_units)
-        dropped += d
-    return units, errors, dropped
+def _units(
+    source: str, config: RunConfig
+) -> Iterator[tuple[str, int, SymbolSequence | str | None]]:
+    """Load one source and yield its units in order as (label, seed, sequence).
+
+    In place of the sequence comes the error message if the source failed to
+    load, or None for a dropped trailing partial window.  Windows are cut
+    and digitized one at a time, and the loaded source is released when the
+    generator finishes.
+    """
+    try:
+        data = _load(source, config)
+    except (OSError, ValueError) as exc:
+        yield source, config.seed, str(exc)
+        return
+    if config.window_length is None:
+        yield source, config.seed, _to_symbols(data, config)
+        return
+    for i, piece in enumerate(_windows(data, config.window_length)):
+        # Digitization is per window: each analyzed unit gets its own
+        # threshold, so every window attains the digitizer's entropy
+        # guarantee on its own.
+        unit = None if piece is None else _to_symbols(piece, config)
+        yield f"{source}@{i}", config.seed + i, unit
 
 
 # --- serialization -----------------------------------------------------------
@@ -509,41 +502,45 @@ def emit_report(report: MetricReport, output_format: str = "json", q_max: int | 
 # --- driver ------------------------------------------------------------------
 
 
-def _source_label(unit: _Unit) -> str:
-    if unit.window is None:
-        return unit.source
-    return f"{unit.source}@{unit.window}"
+def _report_line(unit: SymbolSequence | str, label: str, seed: int, config: RunConfig) -> str:
+    """Analyze one unit from :func:`_units`; raises ValueError if it fails."""
+    if isinstance(unit, str):
+        raise ValueError(unit)
+    q_eff = min(config.q_max, len(unit) - 1)
+    if q_eff < 1:
+        raise ValueError(f"sequence too short to analyze (n={len(unit)})")
+    report = analyze(unit, q_max=q_eff, surrogates=config.surrogates, seed=seed)
+    report = replace(report, source=label)
+    return emit_report(report, config.output_format, q_max=config.q_max)
 
 
 def run(config: RunConfig) -> int:
-    """Execute one batch run; returns the process exit status."""
-    units, failures, dropped = _collect_units(config)
-    lines: list[str] = []
-    if config.output_format == "csv":
-        lines.append(csv_header(config.q_max))
-    for unit in units:
-        seq = unit.sequence
-        unit_seed = config.seed + (unit.window or 0)
-        q_eff = min(config.q_max, len(seq) - 1)
-        try:
-            if q_eff < 1:
-                raise ValueError(f"sequence too short to analyze (n={len(seq)})")
-            report = analyze(seq, q_max=q_eff, surrogates=config.surrogates, seed=unit_seed)
-        except ValueError as exc:
-            failures.append((_source_label(unit), str(exc)))
-            continue
-        report = replace(report, source=_source_label(unit))
-        lines.append(emit_report(report, config.output_format, q_max=config.q_max))
-    payload = "".join(line + "\n" for line in lines)
-    if config.output_path:
-        Path(config.output_path).write_text(payload)
-    else:
-        sys.stdout.write(payload)
-    for source, message in failures:
-        print(json.dumps({"source": source, "error": message}), file=sys.stderr)
+    """Execute one batch run; returns the process exit status.
+
+    Each report line is written and flushed as soon as its unit is analyzed,
+    so a later crash keeps every finished report.
+    """
+    sources = _sources(config)
+    failed = dropped = 0
+    output = open(config.output_path, "w") if config.output_path else nullcontext(sys.stdout)
+    with output as out:
+        if config.output_format == "csv":
+            print(csv_header(config.q_max), file=out, flush=True)
+        for source in sources:
+            for label, seed, unit in _units(source, config):
+                if unit is None:
+                    dropped += 1
+                    continue
+                try:
+                    line = _report_line(unit, label, seed, config)
+                except ValueError as exc:
+                    failed += 1
+                    print(json.dumps({"source": label, "error": str(exc)}), file=sys.stderr)
+                    continue
+                print(line, file=out, flush=True)
     if config.window_length is not None:
         print(f"windowing: dropped {dropped} trailing partial window(s)", file=sys.stderr)
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 def main(argv: list[str] | None = None) -> int:

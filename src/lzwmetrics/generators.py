@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import analytic_entropy_rate, stationary_distribution
+from .entropy import stationary_distribution
 from .sequence import Alphabet, SymbolSequence
 
 __all__ = [
     "ProcessSpec",
     "symmetric_binary_markov",
     "generate",
-    "spec_entropy_rate",
 ]
 
 # Composite-state count cap for order-m chains; A**m beyond this makes the
@@ -187,8 +186,3 @@ def _sample_markov(spec: ProcessSpec, n: int, rng: np.random.Generator) -> np.nd
         state = (state % keep) * A + x
         row = cum_rows[state]
     return np.array(symbols, dtype=np.int64)
-
-
-def spec_entropy_rate(spec: ProcessSpec) -> float:
-    """Exact entropy rate of the process; see :func:`analytic_entropy_rate`."""
-    return analytic_entropy_rate(spec)

@@ -26,7 +26,6 @@ __all__ = [
     "CorruptStreamError",
     "encode",
     "decode",
-    "description_length",
     "description_length_bound",
 ]
 
@@ -42,9 +41,15 @@ class LzwResult:
     ``codes`` are the emitted dictionary indices in order; ``phrase_count``
     is their number, c(n).  ``dict_size`` counts dictionary entries at
     termination: the alphabet's single symbols plus one insertion per
-    emission except the final one.  ``description_length_bits`` prices the
-    code stream (see :func:`description_length`); ``bound_bits`` is the
-    coarser phrase-count bound (see :func:`description_length_bound`).
+    emission except the final one.  ``bound_bits`` is the coarser
+    phrase-count bound (see :func:`description_length_bound`).
+
+    ``description_length_bits`` is the bit cost of transmitting the code
+    stream, the quantity the rho metrics normalize.  Every code fits in
+    log2(M) bits with M the largest emitted value (clamped at 2), and
+    log2(log2(M)) more bits announce that width:
+
+        log2(log2(M)) + c(n) * log2(M)
     """
 
     codes: tuple[int, ...]
@@ -98,20 +103,6 @@ def _code_stream_bits(codes: Sequence[int]) -> float:
     m = max(2, max(codes))
     log_m = math.log2(m)
     return math.log2(log_m) + len(codes) * log_m
-
-
-def description_length(result: LzwResult) -> float:
-    """Bits needed to transmit the emitted code stream.
-
-    Every code fits in log2(M) bits with M the largest emitted value
-    (clamped at 2), and log2(log2(M)) more bits announce that width:
-
-        log2(log2(M)) + c(n) * log2(M)
-
-    This is the value stored in ``description_length_bits`` by
-    :func:`encode` and the quantity the rho metrics normalize.
-    """
-    return _code_stream_bits(result.codes)
 
 
 def description_length_bound(c: int, A: int) -> float:

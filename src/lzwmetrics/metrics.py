@@ -101,18 +101,19 @@ def rho1_analytic(c: int, n: int, h0: float) -> float | None:
     return c * math.log2(n) / (n * h0)
 
 
-def rho1_surrogate(seq: SymbolSequence, surrogates: int, seed: int) -> float:
+def rho1_surrogate(l_lzw_bits: float, seq: SymbolSequence, surrogates: int, seed: int) -> float:
     """Description length relative to the mean over shuffled surrogates.
 
-    Shuffling preserves the symbol histogram while destroying temporal
-    order, which drives the surrogate description length toward n * h0.
-    Surrogate k uses the shuffle generator seeded with seed + k, so the
-    result is deterministic for a fixed seed.  The denominator is always
-    positive (even a single phrase costs one bit).
+    ``l_lzw_bits`` is the description length of ``seq`` itself, as priced by
+    its own parse; only the surrogates are parsed here.  Shuffling preserves
+    the symbol histogram while destroying temporal order, which drives the
+    surrogate description length toward n * h0.  Surrogate k uses the
+    shuffle generator seeded with seed + k, so the result is deterministic
+    for a fixed seed.  The denominator is always positive (even a single
+    phrase costs one bit).
     """
     if surrogates < 1:
         raise ValueError(f"surrogate count must be at least 1, got {surrogates}")
-    l_orig = encode(seq).description_length_bits
     l_shuf = [
         encode(shuffle(seq, seed + k)).description_length_bits
         for k in range(1, surrogates + 1)
@@ -120,7 +121,7 @@ def rho1_surrogate(seq: SymbolSequence, surrogates: int, seed: int) -> float:
     # l / (fsum(ls) / k) written as l * k / fsum(ls): when every surrogate
     # equals the original (constant input) both sides round to the same
     # float and the ratio is exactly 1.0
-    return l_orig * surrogates / math.fsum(l_shuf)
+    return l_lzw_bits * surrogates / math.fsum(l_shuf)
 
 
 def rho2(h0: float, rho0_value: float) -> float:
@@ -147,9 +148,10 @@ def analyze(
     n = len(seq)
     result = encode(seq)
     profile = entropy_profile(seq, q_max)
-    r0 = rho0(result.description_length_bits, n)
+    l_lzw = result.description_length_bits
+    r0 = rho0(l_lzw, n)
     r1a = rho1_analytic(result.phrase_count, n, profile.h0)
-    r1s = rho1_surrogate(seq, surrogates, seed) if surrogates >= 1 else None
+    r1s = rho1_surrogate(l_lzw, seq, surrogates, seed) if surrogates >= 1 else None
     r2 = rho2(profile.h0, r0)
     warnings: list[str] = []
     if n < 1000:

@@ -19,6 +19,7 @@ from lzwmetrics import (
     Alphabet,
     ProcessSpec,
     SymbolSequence,
+    analytic_entropy_rate,
     analyze,
     decode,
     empirical_block_entropy,
@@ -30,7 +31,6 @@ from lzwmetrics import (
     h0_bernoulli,
     rho1_surrogate,
     shuffle,
-    spec_entropy_rate,
     symmetric_binary_markov,
 )
 
@@ -97,19 +97,20 @@ def test_criterion_3_rate_convergence_for_fair_bits():
 def test_criterion_4_structured_source_detection():
     markov = symmetric_binary_markov(0.1)
     iid = ProcessSpec.bernoulli(0.5)
-    oracle = spec_entropy_rate(markov)
+    oracle = analytic_entropy_rate(markov)
     start = time.perf_counter()
     ok = abs(oracle - 0.46900) < 5e-6 and oracle == h0_bernoulli(0.1)
     ratios_markov, ratios_iid = [], []
     for s_id in range(1, 6):
         s = generate(markov, 10**6, s_id)
         h0 = empirical_h0(s)
-        r0 = encode(s).description_length_bits / 10**6
-        r1 = rho1_surrogate(s, 10, s_id)
+        l_lzw = encode(s).description_length_bits
+        r0 = l_lzw / 10**6
+        r1 = rho1_surrogate(l_lzw, s, 10, s_id)
         ratios_markov.append(r1)
         ok = ok and 0.995 <= h0 <= 1.0 and 0.42 <= r0 <= 0.62 and 0.40 <= r1 <= 0.65
         u = generate(iid, 10**6, s_id)
-        r1u = rho1_surrogate(u, 10, s_id)
+        r1u = rho1_surrogate(encode(u).description_length_bits, u, 10, s_id)
         ratios_iid.append(r1u)
         ok = ok and 0.93 <= r1u <= 1.07
     elapsed = time.perf_counter() - start
@@ -181,7 +182,8 @@ def test_criterion_7_shuffle_invariants():
             np.bincount(s.data, minlength=A), np.bincount(t.data, minlength=A)
         )
         ok = ok and empirical_h0(t) == empirical_h0(s)
-    ratio = rho1_surrogate(seq([0] * 2000), 10, 5)
+    constant = seq([0] * 2000)
+    ratio = rho1_surrogate(encode(constant).description_length_bits, constant, 10, 5)
     ok = ok and ratio == 1.0
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0

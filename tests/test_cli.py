@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lzwmetrics import Alphabet, SymbolSequence, analyze, generate, symmetric_binary_markov
+from lzwmetrics import Alphabet, SymbolSequence, analyze, cli, generate, symmetric_binary_markov
 from lzwmetrics.cli import csv_header, emit_report, main
 
 
@@ -243,6 +243,47 @@ class TestWindowing:
         assert all(r["h0"] == 1.0 for r in reports)
 
 
+class TestStreaming:
+    def test_finished_reports_survive_a_later_crash(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "bits.txt"
+        path.write_text("0110" * 75)
+        real_analyze = cli.analyze
+        calls = []
+
+        def crash_on_second_unit(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("crash in the second unit")
+            return real_analyze(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "analyze", crash_on_second_unit)
+        argv = ["--input", str(path), "--window", "100", "--surrogates", "0", "--qmax", "2"]
+        with pytest.raises(RuntimeError):
+            main(argv)
+        (first,) = json_lines(capsys.readouterr().out)
+        assert first["source"] == f"{path}@0"
+
+        calls.clear()
+        out_file = tmp_path / "reports.jsonl"
+        with pytest.raises(RuntimeError):
+            main([*argv, "--output", str(out_file)])
+        assert json_lines(out_file.read_text()) == [first]
+
+    def test_failure_records_come_in_unit_order(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.txt").write_text("0")  # loads, too short to analyze
+        (corpus / "b.txt").write_text("0120")  # fails to load
+        (corpus / "c.txt").write_text("0110")
+        code, out, err = run_cli(capsys, "--input", str(corpus), "--surrogates", "0", "--qmax", "1")
+        assert code == 1
+        assert [r["source"] for r in json_lines(out)] == [str(corpus / "c.txt")]
+        assert [r["source"] for r in json_lines(err)] == [
+            str(corpus / "a.txt"),
+            str(corpus / "b.txt"),
+        ]
+
+
 class TestSerialization:
     def test_json_round_trip_at_six_significant_digits(self):
         s = generate(symmetric_binary_markov(0.2), 5000, 3)
@@ -320,6 +361,8 @@ class TestConfigErrors:
             ("--input", "x", "--column", "0"),
             ("--generate", "bernoulli:p=0.5,n=10", "--digitizer", "median"),
             ("--input", "x", "--format", "csv", "--digitizer", "quantiles:1"),
+            ("--input", "x", "--seed", "-1"),
+            ("--input", "x", "--output", "x"),
         ],
     )
     def test_contradictions_exit_2(self, capsys, argv):

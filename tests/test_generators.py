@@ -5,9 +5,9 @@ from lzwmetrics import (
     Alphabet,
     ProcessSpec,
     SymbolSequence,
+    analytic_entropy_rate,
     generate,
     h0_bernoulli,
-    spec_entropy_rate,
     stationary_distribution,
     symmetric_binary_markov,
 )
@@ -114,14 +114,14 @@ class TestRandomKinds:
 
 class TestSpecEntropyRate:
     def test_examples(self):
-        assert spec_entropy_rate(ProcessSpec.bernoulli(0.5)) == 1.0
-        assert spec_entropy_rate(ProcessSpec.periodic([0, 1, 1])) == 0.0
-        assert spec_entropy_rate(symmetric_binary_markov(0.25)) == pytest.approx(
+        assert analytic_entropy_rate(ProcessSpec.bernoulli(0.5)) == 1.0
+        assert analytic_entropy_rate(ProcessSpec.periodic([0, 1, 1])) == 0.0
+        assert analytic_entropy_rate(symmetric_binary_markov(0.25)) == pytest.approx(
             0.81128, abs=5e-6
         )
 
     def test_matches_flip_entropy_for_symmetric_chains(self):
         for eps in (0.01, 0.1, 0.4):
-            assert spec_entropy_rate(symmetric_binary_markov(eps)) == pytest.approx(
+            assert analytic_entropy_rate(symmetric_binary_markov(eps)) == pytest.approx(
                 h0_bernoulli(eps), abs=1e-12
             )

@@ -8,7 +8,6 @@ from lzwmetrics import (
     CorruptStreamError,
     SymbolSequence,
     decode,
-    description_length,
     description_length_bound,
     encode,
 )
@@ -61,7 +60,8 @@ class TestDescriptionLength:
         for _ in range(50):
             s = seq(rng.integers(0, 2, int(rng.integers(1, 300))))
             r = encode(s)
-            assert description_length(r) == r.description_length_bits
+            repriced = encode(decode(r.codes, s.alphabet)).description_length_bits
+            assert repriced == r.description_length_bits
             assert r.description_length_bits == footnote_bits(list(r.codes))
 
     def test_bound_examples(self):

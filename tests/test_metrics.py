@@ -59,19 +59,21 @@ class TestRho1Analytic:
 
 class TestRho1Surrogate:
     def test_constant_sequence_is_exactly_one(self):
-        assert rho1_surrogate(seq([0] * 500), 5, 0) == 1.0
+        s = seq([0] * 500)
+        assert rho1_surrogate(encode(s).description_length_bits, s, 5, 0) == 1.0
 
     def test_deterministic_in_seed(self):
         s = generate(ProcessSpec.bernoulli(0.5), 2000, 1)
-        assert rho1_surrogate(s, 4, 9) == rho1_surrogate(s, 4, 9)
+        l_lzw = encode(s).description_length_bits
+        assert rho1_surrogate(l_lzw, s, 4, 9) == rho1_surrogate(l_lzw, s, 4, 9)
 
     def test_iid_bits_near_one(self):
         s = generate(ProcessSpec.bernoulli(0.5), 10**5, 1)
-        assert 0.97 <= rho1_surrogate(s, 10, 1) <= 1.03
+        assert 0.97 <= rho1_surrogate(encode(s).description_length_bits, s, 10, 1) <= 1.03
 
     def test_markov_structure_detected(self):
         s = generate(symmetric_binary_markov(0.1), 10**6, 1)
-        assert 0.40 <= rho1_surrogate(s, 10, 1) <= 0.60
+        assert 0.40 <= rho1_surrogate(encode(s).description_length_bits, s, 10, 1) <= 0.60
 
     def test_surrogates_lengthen_structured_input(self):
         # shuffling destroys the temporal structure LZW exploits
@@ -85,7 +87,7 @@ class TestRho1Surrogate:
 
     def test_rejects_zero_surrogates(self):
         with pytest.raises(ValueError):
-            rho1_surrogate(seq([0, 1]), 0, 0)
+            rho1_surrogate(2.0, seq([0, 1]), 0, 0)
 
 
 class TestRho2:
