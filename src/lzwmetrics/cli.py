@@ -2,12 +2,17 @@
 
 Feeds symbol files, CSV recordings, or synthetic generator output through
 the metric pipeline and emits one report per unit (a whole input, or each
-full fixed-length window of it) as JSON lines or CSV rows.  Unit order, and
-therefore output bytes, are deterministic: paths sort lexicographically and
-windows by index.  Units stream: one input is loaded and cut at a time, and
-each report is written and flushed as soon as its unit is analyzed.  Failed
-units are logged to stderr in unit order, as they happen, and the run
-continues.
+full fixed-length window of it) as JSON lines or CSV rows.  Symbol files
+hold the ASCII digits ``0``..``A-1``, whitespace ignored; CSV load errors
+cite file line numbers, blank lines counted.  A directory input skips the
+``--output`` file if it lies inside, so a report is never read back as an
+input.
+
+Unit order, and therefore output bytes, are deterministic: paths sort
+lexicographically and windows by index.  Units stream: one input is loaded
+and cut at a time, and each report is written and flushed as soon as its
+unit is analyzed.  Failed units are logged to stderr in unit order, as they
+happen, and the run continues.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import json
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -259,22 +266,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_symbol_file(path: str, alphabet_size: int) -> SymbolSequence:
-    text = Path(path).read_text()
-    values = []
-    for ch in text:
-        if ch.isspace():
-            continue
-        if not ch.isdigit():
-            raise ValueError(f"{path}: character {ch!r} is not a symbol digit")
-        value = int(ch)
-        if value >= alphabet_size:
-            raise ValueError(
-                f"{path}: symbol {value} outside alphabet of size {alphabet_size}"
-            )
-        values.append(value)
-    if not values:
+    text = "".join(Path(path).read_text().split())
+    if not text:
         raise ValueError(f"{path}: no symbols found")
-    return SymbolSequence(Alphabet(alphabet_size), np.array(values, dtype=np.int64))
+    # One UTF-32 unit per code point; only ASCII '0'..'9' are symbol digits.
+    values = np.frombuffer(text.encode("utf-32-le"), dtype="<u4").astype(np.int64)
+    values -= ord("0")
+    bad = np.flatnonzero((values < 0) | (values >= min(alphabet_size, 10)))
+    if bad.size:
+        first = int(bad[0])
+        if not 0 <= values[first] <= 9:
+            raise ValueError(f"{path}: character {text[first]!r} is not a symbol digit")
+        raise ValueError(
+            f"{path}: symbol {values[first]} outside alphabet of size {alphabet_size}"
+        )
+    return SymbolSequence(Alphabet(alphabet_size), values)
 
 
 def _row_is_numeric(row: list[str]) -> bool:
@@ -308,26 +314,31 @@ def _resolve_column(column: str | None, header: list[str] | None, path: str, wid
 
 def _load_csv_series(path: str, column: str | None) -> NumericSeries:
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
-    if not rows:
-        raise ValueError(f"{path}: empty CSV file")
-    header = None
-    if not _row_is_numeric(rows[0]):
-        header = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise ValueError(f"{path}: CSV has a header but no data rows")
-    index = _resolve_column(column, header, path, width=len(rows[0]))
-    first_lineno = 2 if header else 1
-    values = []
-    for lineno, row in enumerate(rows, start=first_lineno):
-        if index >= len(row):
-            raise ValueError(f"{path}: row {lineno} has no column {index}")
-        cell = row[index].strip()
-        try:
-            values.append(float(cell))
-        except ValueError:
-            raise ValueError(f"{path}: cannot parse sample {cell!r} at row {lineno}") from None
+        reader = csv.reader(fh)
+        # Rows stream without being kept; reader.line_num is the file line
+        # on which the current row ends, blank lines counted.
+        rows = (row for row in reader if any(cell.strip() for cell in row))
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{path}: empty CSV file")
+        header = None
+        if not _row_is_numeric(first):
+            header = [cell.strip() for cell in first]
+            first = next(rows, None)
+            if first is None:
+                raise ValueError(f"{path}: CSV has a header but no data rows")
+        index = _resolve_column(column, header, path, width=len(first))
+        values = []
+        for row in chain([first], rows):
+            if index >= len(row):
+                raise ValueError(f"{path}: line {reader.line_num} has no column {index}")
+            cell = row[index].strip()
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: cannot parse sample {cell!r} at line {reader.line_num}"
+                ) from None
     return NumericSeries(np.array(values, dtype=np.float64))
 
 
@@ -365,7 +376,13 @@ def _sources(config: RunConfig) -> list[str]:
         return [config.generator.label]
     root = Path(config.input_path)
     if root.is_dir():
-        return sorted(str(child) for child in root.iterdir() if child.is_file())
+        # A report written into the input directory is not an input.
+        output = Path(config.output_path).resolve() if config.output_path else None
+        return sorted(
+            str(child)
+            for child in root.iterdir()
+            if child.is_file() and child.resolve() != output
+        )
     return [str(root)]
 
 
@@ -398,58 +415,33 @@ def _units(
 # --- serialization -----------------------------------------------------------
 
 
-def _sig6(value: float | None) -> float | None:
+# The report schema: attribute paths on MetricReport in output order.  The
+# last path component is the JSON key and the CSV column; ``hq`` spreads
+# over padded ``hq_1..hq_Q`` columns in CSV.
+_FIELDS = [
+    (path.rpartition(".")[2], attrgetter(path))
+    for path in (
+        "n", "alphabet_size", "c", "dict_size", "l_lzw_bits", "bound_bits",
+        "rho0", "rho1_analytic", "rho1_surrogate", "rho2", "entropy.h0",
+        "entropy.hq", "surrogate_count", "seed", "source", "warnings", "note",
+    )
+]
+
+
+def _json_value(value: object) -> object:
+    if isinstance(value, float):
+        return float(f"{value:.6g}")
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value
+
+
+def _csv_cell(value: object) -> object:
     if value is None:
-        return None
-    return float(f"{value:.6g}")
-
-
-def _fmt6(value: float | None) -> str:
-    return "" if value is None else f"{value:.6g}"
-
-
-def _json_object(report: MetricReport) -> dict:
-    return {
-        "n": report.n,
-        "alphabet_size": report.alphabet_size,
-        "c": report.c,
-        "dict_size": report.dict_size,
-        "l_lzw_bits": _sig6(report.l_lzw_bits),
-        "bound_bits": _sig6(report.bound_bits),
-        "rho0": _sig6(report.rho0),
-        "rho1_analytic": _sig6(report.rho1_analytic),
-        "rho1_surrogate": _sig6(report.rho1_surrogate),
-        "rho2": _sig6(report.rho2),
-        "h0": _sig6(report.entropy.h0),
-        "hq": [_sig6(v) for v in report.entropy.hq],
-        "surrogate_count": report.surrogate_count,
-        "seed": report.seed,
-        "source": report.source,
-        "warnings": list(report.warnings),
-        "note": report.note,
-    }
-
-
-def _csv_fields(q_max: int) -> list[str]:
-    return [
-        "n",
-        "alphabet_size",
-        "c",
-        "dict_size",
-        "l_lzw_bits",
-        "bound_bits",
-        "rho0",
-        "rho1_analytic",
-        "rho1_surrogate",
-        "rho2",
-        "h0",
-        *[f"hq_{q}" for q in range(1, q_max + 1)],
-        "surrogate_count",
-        "seed",
-        "source",
-        "warnings",
-        "note",
-    ]
+        return ""
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return value
 
 
 def _csv_line(cells: list) -> str:
@@ -460,41 +452,34 @@ def _csv_line(cells: list) -> str:
 
 def csv_header(q_max: int) -> str:
     """Header row matching :func:`emit_report`'s CSV flattening."""
-    return _csv_line(_csv_fields(q_max))
+    names = []
+    for name, _ in _FIELDS:
+        names += [f"hq_{q}" for q in range(1, q_max + 1)] if name == "hq" else [name]
+    return _csv_line(names)
 
 
 def emit_report(report: MetricReport, output_format: str = "json", q_max: int | None = None) -> str:
     """Serialize one report as a JSON line or a CSV data row.
 
-    Floats carry 6 significant digits.  The CSV row pads hq columns up to
-    ``q_max`` (defaults to the report's own order) so every row in a run
-    matches one header.
+    Floats carry 6 significant digits; None is ``null`` in JSON and empty in
+    CSV.  The CSV row pads hq columns up to ``q_max`` (defaults to the
+    report's own order) so every row in a run matches one header, and joins
+    the warnings with ``"; "``.
     """
-    if q_max is None:
-        q_max = report.entropy.q_max
     if output_format == "json":
-        return json.dumps(_json_object(report))
+        return json.dumps({name: _json_value(get(report)) for name, get in _FIELDS})
     if output_format == "csv":
-        hq = list(report.entropy.hq) + [None] * (q_max - report.entropy.q_max)
-        cells = [
-            report.n,
-            report.alphabet_size,
-            report.c,
-            report.dict_size,
-            _fmt6(report.l_lzw_bits),
-            _fmt6(report.bound_bits),
-            _fmt6(report.rho0),
-            _fmt6(report.rho1_analytic),
-            _fmt6(report.rho1_surrogate),
-            _fmt6(report.rho2),
-            _fmt6(report.entropy.h0),
-            *[_fmt6(v) for v in hq],
-            report.surrogate_count,
-            report.seed,
-            report.source or "",
-            "; ".join(report.warnings),
-            report.note,
-        ]
+        if q_max is None:
+            q_max = report.entropy.q_max
+        cells = []
+        for name, get in _FIELDS:
+            value = get(report)
+            if name == "hq":
+                cells += [_csv_cell(v) for v in value] + [""] * (q_max - len(value))
+            elif name == "warnings":
+                cells.append("; ".join(value))
+            else:
+                cells.append(_csv_cell(value))
         return _csv_line(cells)
     raise ConfigError(f"unknown output format {output_format!r}")
 

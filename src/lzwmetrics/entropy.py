@@ -76,10 +76,8 @@ def _entropy_bits(counts: np.ndarray, total: int) -> float:
 
 
 def empirical_h0(seq: SymbolSequence) -> float:
-    """Shannon entropy (bits) of the empirical symbol histogram."""
-    counts = np.bincount(seq.data, minlength=seq.alphabet.size)
-    counts = counts[counts > 0]
-    return _entropy_bits(counts, len(seq))
+    """Shannon entropy (bits) of the empirical symbol histogram: the q=1 block entropy."""
+    return empirical_block_entropy(seq, 1)
 
 
 def empirical_block_entropy(seq: SymbolSequence, q: int) -> float:
@@ -113,22 +111,29 @@ def empirical_block_entropy(seq: SymbolSequence, q: int) -> float:
     return _entropy_bits(counts, total)
 
 
+def _conditional(block_q: float, block_next: float) -> float:
+    # Finite samples can make the raw difference slightly negative, which is
+    # meaningless for a conditional entropy.
+    return max(0.0, block_next - block_q)
+
+
 def empirical_hq(seq: SymbolSequence, q: int) -> float:
     """Plug-in conditional entropy H(X_{q+1} | X_1..X_q) in bits.
 
     Computed as the difference of consecutive block entropies and clamped
-    below at zero: finite samples can make the raw difference slightly
-    negative, which is meaningless for a conditional entropy.
+    below at zero.
     """
     n = len(seq)
     if not 1 <= q <= n - 1:
         raise ValueError(f"order q must lie in 1..{n - 1}, got {q}")
-    diff = empirical_block_entropy(seq, q + 1) - empirical_block_entropy(seq, q)
-    return max(0.0, diff)
+    return _conditional(empirical_block_entropy(seq, q), empirical_block_entropy(seq, q + 1))
 
 
 def entropy_profile(seq: SymbolSequence, q_max: int) -> EntropyProfile:
-    """Bundle :func:`empirical_h0` with conditional entropies up to q_max."""
+    """Bundle :func:`empirical_h0` with conditional entropies up to q_max.
+
+    One block entropy per order 1..q_max+1; the first is h0.
+    """
     n = len(seq)
     if q_max < 1:
         raise ValueError(f"q_max must be at least 1, got {q_max}")
@@ -136,8 +141,8 @@ def entropy_profile(seq: SymbolSequence, q_max: int) -> EntropyProfile:
     if q_max > limit:
         raise ValueError(f"q_max {q_max} exceeds min(n - 1, {Q_MAX_LIMIT}) = {limit}")
     blocks = [empirical_block_entropy(seq, q) for q in range(1, q_max + 2)]
-    hq = tuple(max(0.0, hi - lo) for lo, hi in zip(blocks, blocks[1:]))
-    return EntropyProfile(h0=empirical_h0(seq), hq=hq, q_max=q_max)
+    hq = tuple(_conditional(lo, hi) for lo, hi in zip(blocks, blocks[1:]))
+    return EntropyProfile(h0=blocks[0], hq=hq, q_max=q_max)
 
 
 def stationary_distribution(

@@ -50,6 +50,21 @@ class TestSymbolInput:
         assert record["source"] == str(path)
         assert "symbol 2" in record["error"]
 
+    @pytest.mark.parametrize(
+        "text", ["0\u00b21", "01\u06631"], ids=["superscript-two", "arabic-indic-three"]
+    )
+    def test_non_ascii_digit_is_unit_error(self, tmp_path, capsys, text):
+        # both pass str.isdigit, but only ASCII 0..9 are symbol digits
+        path = tmp_path / "symbols.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "--input", str(path), "--alphabet-size", "4", "--surrogates", "0", "--qmax", "1"
+        )
+        assert code == 1
+        assert out == ""
+        (record,) = json_lines(err)
+        assert record["error"] == f"{path}: character {text[-2]!r} is not a symbol digit"
+
     def test_wider_alphabet(self, tmp_path, capsys):
         path = tmp_path / "quaternary.txt"
         path.write_text("0123012301230123")
@@ -179,6 +194,14 @@ class TestCsvInput:
         assert code == 1
         assert out == ""
         assert "NaN" in json_lines(err)[0]["error"]
+
+    def test_error_cites_the_file_line(self, tmp_path, capsys):
+        path = tmp_path / "gaps.csv"
+        path.write_text("value\n1.0\n\n2.0\n\n\nbad\n3.0\n")
+        code, out, err = run_cli(capsys, "--input", str(path), "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert json_lines(err)[0]["error"] == f"{path}: cannot parse sample 'bad' at line 7"
 
     def test_directory_with_one_corrupt_file(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -394,6 +417,18 @@ class TestDeterminism:
         code_b, out_b, _ = run_cli(capsys, *argv)
         assert code_a == code_b == 0
         assert out_a == out_b
+
+    def test_output_file_inside_input_directory_is_not_an_input(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "bits.txt").write_text("0110" * 100)
+        out_file = corpus / "report.jsonl"
+        argv = ["--input", str(corpus), "--output", str(out_file), "--surrogates", "2"]
+        assert main(argv) == 0
+        first = out_file.read_text()
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert out_file.read_text() == first
 
     def test_output_file_matches_stdout(self, tmp_path, capsys):
         path = tmp_path / "bits.txt"

@@ -1,0 +1,102 @@
+"""Property tests: invariants over many small random sequences.
+
+Examples are drawn deterministically (``derandomize=True``, no example
+database), so every run checks the same cases.
+"""
+
+import csv
+import json
+import math
+from itertools import groupby
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lzwmetrics import (
+    Alphabet,
+    SymbolSequence,
+    analyze,
+    decode,
+    empirical_h0,
+    empirical_hq,
+    encode,
+    entropy_profile,
+    shuffle,
+)
+from lzwmetrics.cli import csv_header, emit_report
+
+from oracles import footnote_bits, naive_lzw_codes
+
+SMALL = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def sequences(draw, min_size=1, max_size=60):
+    A = draw(st.integers(2, 5))
+    symbols = draw(st.lists(st.integers(0, A - 1), min_size=min_size, max_size=max_size))
+    return SymbolSequence(Alphabet(A), np.array(symbols, dtype=np.int64))
+
+
+@SMALL
+@given(sequences())
+def test_encode_matches_the_naive_oracle(s):
+    assert list(encode(s).codes) == naive_lzw_codes(s.data.tolist(), s.alphabet.size)
+
+
+@SMALL
+@given(sequences())
+def test_decode_inverts_encode(s):
+    assert decode(encode(s).codes, s.alphabet) == s
+
+
+@SMALL
+@given(sequences())
+def test_phrase_count_and_dictionary_size(s):
+    r = encode(s)
+    assert r.phrase_count <= len(s)
+    assert r.dict_size == s.alphabet.size + r.phrase_count - 1
+
+
+@SMALL
+@given(sequences())
+def test_description_length_is_the_footnote_price(s):
+    r = encode(s)
+    assert r.description_length_bits == footnote_bits(r.codes)
+
+
+@SMALL
+@given(sequences(min_size=2), st.integers(1, 6))
+def test_profile_matches_the_single_quantities_exactly(s, q_max):
+    q_max = min(q_max, len(s) - 1)
+    profile = entropy_profile(s, q_max)
+    assert profile.h0 == empirical_h0(s)
+    for q in range(1, q_max + 1):
+        assert profile.hq[q - 1] == empirical_hq(s, q)
+
+
+@SMALL
+@given(sequences(min_size=2), st.integers(1, 6))
+def test_entropy_bounds(s, q_max):
+    profile = entropy_profile(s, min(q_max, len(s) - 1))
+    assert all(h >= 0.0 for h in profile.hq)
+    assert profile.h0 <= math.log2(s.alphabet.size) + 1e-12
+
+
+@SMALL
+@given(sequences(), st.integers(0, 2**32))
+def test_shuffle_keeps_the_symbol_multiset(s, seed):
+    t = shuffle(s, seed)
+    assert t.alphabet == s.alphabet
+    assert sorted(t.data.tolist()) == sorted(s.data.tolist())
+
+
+@SMALL
+@given(sequences(min_size=2), st.integers(1, 4), st.integers(0, 2))
+def test_csv_and_json_share_one_schema(s, q_max, surrogates):
+    report = analyze(s, q_max=min(q_max, len(s) - 1), surrogates=surrogates, seed=1)
+    header = next(csv.reader([csv_header(4)]))
+    row = next(csv.reader([emit_report(report, "csv", q_max=4)]))
+    folded = [name for name, _ in groupby("hq" if h.startswith("hq_") else h for h in header)]
+    assert folded == list(json.loads(emit_report(report)))
+    assert len(row) == len(header)
