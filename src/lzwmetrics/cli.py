@@ -3,10 +3,10 @@
 Feeds symbol files, CSV recordings, or synthetic generator output through
 the metric pipeline and emits one report per unit (a whole input, or each
 full fixed-length window of it) as JSON lines or CSV rows.  Symbol files
-hold the ASCII digits ``0``..``A-1``, whitespace ignored; CSV load errors
-cite file line numbers, blank lines counted.  A directory input skips the
-``--output`` file if it lies inside, so a report is never read back as an
-input.
+are UTF-8 and hold the ASCII digits ``0``..``A-1``, whitespace ignored; CSV
+load errors cite file line numbers, blank lines counted.  A directory input
+skips the ``--output`` file if it lies inside, so a report is never read
+back as an input.
 
 Unit order, and therefore output bytes, are deterministic: paths sort
 lexicographically and windows by index.  Units stream: one input is loaded
@@ -266,7 +266,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_symbol_file(path: str, alphabet_size: int) -> SymbolSequence:
-    text = "".join(Path(path).read_text().split())
+    raw = Path(path).read_bytes()
+    try:
+        text = "".join(raw.decode("utf-8").split())
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: byte 0x{raw[exc.start]:02x} at offset {exc.start} is not valid UTF-8"
+        ) from None
     if not text:
         raise ValueError(f"{path}: no symbols found")
     # One UTF-32 unit per code point; only ASCII '0'..'9' are symbol digits.
@@ -315,30 +321,38 @@ def _resolve_column(column: str | None, header: list[str] | None, path: str, wid
 def _load_csv_series(path: str, column: str | None) -> NumericSeries:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        # Rows stream without being kept; reader.line_num is the file line
-        # on which the current row ends, blank lines counted.
-        rows = (row for row in reader if any(cell.strip() for cell in row))
+        try:
+            return _read_csv_column(reader, path, column)
+        except csv.Error as exc:
+            # e.g. a field over csv.field_size_limit(); not a ValueError
+            raise ValueError(f"{path}: {exc} at line {reader.line_num}") from None
+
+
+def _read_csv_column(reader, path: str, column: str | None) -> NumericSeries:
+    # Rows stream without being kept; reader.line_num is the file line on
+    # which the current row ends, blank lines counted.
+    rows = (row for row in reader if any(cell.strip() for cell in row))
+    first = next(rows, None)
+    if first is None:
+        raise ValueError(f"{path}: empty CSV file")
+    header = None
+    if not _row_is_numeric(first):
+        header = [cell.strip() for cell in first]
         first = next(rows, None)
         if first is None:
-            raise ValueError(f"{path}: empty CSV file")
-        header = None
-        if not _row_is_numeric(first):
-            header = [cell.strip() for cell in first]
-            first = next(rows, None)
-            if first is None:
-                raise ValueError(f"{path}: CSV has a header but no data rows")
-        index = _resolve_column(column, header, path, width=len(first))
-        values = []
-        for row in chain([first], rows):
-            if index >= len(row):
-                raise ValueError(f"{path}: line {reader.line_num} has no column {index}")
-            cell = row[index].strip()
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: cannot parse sample {cell!r} at line {reader.line_num}"
-                ) from None
+            raise ValueError(f"{path}: CSV has a header but no data rows")
+    index = _resolve_column(column, header, path, width=len(first))
+    values = []
+    for row in chain([first], rows):
+        if index >= len(row):
+            raise ValueError(f"{path}: line {reader.line_num} has no column {index}")
+        cell = row[index].strip()
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ValueError(
+                f"{path}: cannot parse sample {cell!r} at line {reader.line_num}"
+            ) from None
     return NumericSeries(np.array(values, dtype=np.float64))
 
 

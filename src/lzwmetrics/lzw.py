@@ -14,6 +14,7 @@ rather than producing a packed bitstream.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -59,42 +60,70 @@ class LzwResult:
     bound_bits: float
 
 
+# Alphabets up to this size parse against a dense child table, larger ones
+# against a hash table.  Peak traced memory of a parse with the dense table,
+# relative to the same parse with the hash table (tracemalloc, CPython 3.11,
+# 300k iid uniform symbols): 0.39x at A=2, 0.48x at A=4, 0.81x at A=8, 0.95x
+# at A=16, 1.00x at A=17 and 1.97x at A=32.
+_DENSE_MAX_A = 16
+
+
 def encode(seq: SymbolSequence) -> LzwResult:
     """Parse a sequence with LZW and price its code stream.
 
     The dictionary starts as the A single-symbol strings at indices 0..A-1
-    and grows by one entry per emitted phrase (while input remains).  Lookup
-    is a flat hash keyed on (matched-prefix index, next symbol), so every
-    input symbol costs O(1) and a full parse is linear in n; sequences of
-    10^7 symbols parse in seconds.
+    and grows by one entry per emitted phrase (while input remains).  It is
+    stored as a trie: each entry maps every next symbol to the entry it
+    extends into.  For A up to 16 the child slots form one flat list, A
+    slots per entry, indexed directly; beyond 16 most of those slots stay
+    empty and the dense table outgrows a hash table keyed on the same slot
+    number, so larger alphabets use the hash table.  Either way every input
+    symbol costs O(1) and a full parse is linear in n; sequences of 10^7
+    symbols parse in seconds.
     """
     A = seq.alphabet.size
-    data = seq.data.tolist()
-    table: dict[int, int] = {}
-    codes: list[int] = []
-    append = codes.append
-    get = table.get
-    next_code = A
-    it = iter(data)
-    current = next(it)
-    for s in it:
-        key = current * A + s
-        found = get(key)
-        if found is not None:
-            current = found
-        else:
-            append(current)
-            table[key] = next_code
-            next_code += 1
-            current = s
-    append(current)
+    codes = _parse(seq.data, A)
     return LzwResult(
         codes=tuple(codes),
         phrase_count=len(codes),
-        dict_size=next_code,
+        dict_size=A + len(codes) - 1,
         description_length_bits=_code_stream_bits(codes),
         bound_bits=description_length_bound(len(codes), A),
     )
+
+
+def _parse(data: np.ndarray, A: int) -> list[int]:
+    """Greedy LZW parse of symbols 0..A-1; returns the emitted codes."""
+    # Entry k is held as k*A, so the child slot of (entry, symbol) is
+    # entry + symbol.  Slot value 0 means no child: entry 0 is a single
+    # symbol and never anyone's child.  grow(row) gives each new entry its
+    # row of A empty slots in the dense table and leaves the hash table as
+    # it is, since its missing slots read 0.
+    if A <= _DENSE_MAX_A:
+        symbols = data.astype(np.uint8).tobytes()
+        child = [0] * (A * A)
+        grow, row = child.extend, [0] * A
+    else:
+        symbols = data.tolist()
+        child = defaultdict(int)
+        grow, row = child.update, {}
+    codes: list[int] = []
+    append = codes.append
+    it = iter(symbols)
+    current = next(it) * A
+    next_entry = A * A
+    for s in it:
+        found = child[current + s]
+        if found:
+            current = found
+        else:
+            append(current // A)
+            child[current + s] = next_entry
+            next_entry += A
+            grow(row)
+            current = s * A
+    append(current // A)
+    return codes
 
 
 def _code_stream_bits(codes: Sequence[int]) -> float:

@@ -127,11 +127,12 @@ def digitize_quantiles(series: NumericSeries, levels: int) -> SymbolSequence:
 def shuffle(seq: SymbolSequence, seed: int) -> SymbolSequence:
     """Uniformly permute a sequence with a seed-determined generator.
 
-    numpy's ``default_rng`` (PCG64 bit generator) drives a Fisher-Yates
-    permutation of the index range 0..n-1, so identical (seq, seed) pairs
-    give identical output on every run and platform.  Length and symbol
-    multiset are exactly preserved.
+    numpy's ``default_rng`` (PCG64 bit generator) runs a Fisher-Yates
+    shuffle directly on a copy of the symbol data, drawing the same swaps
+    it would draw for the index range 0..n-1, so the output equals
+    ``seq.data[default_rng(seed).permutation(n)]`` without building that
+    index array.  Identical (seq, seed) pairs give identical output on
+    every run and platform; length and symbol multiset are exactly
+    preserved.
     """
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(seq))
-    return SymbolSequence(seq.alphabet, seq.data[perm])
+    return SymbolSequence(seq.alphabet, np.random.default_rng(seed).permutation(seq.data))

@@ -65,6 +65,15 @@ class TestSymbolInput:
         (record,) = json_lines(err)
         assert record["error"] == f"{path}: character {text[-2]!r} is not a symbol digit"
 
+    def test_undecodable_byte_is_unit_error_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "symbols.txt"
+        path.write_bytes(b"01\xff10")
+        code, out, err = run_cli(capsys, "--input", str(path), "--surrogates", "0", "--qmax", "1")
+        assert code == 1
+        assert out == ""
+        (record,) = json_lines(err)
+        assert record["error"] == f"{path}: byte 0xff at offset 2 is not valid UTF-8"
+
     def test_wider_alphabet(self, tmp_path, capsys):
         path = tmp_path / "quaternary.txt"
         path.write_text("0123012301230123")
@@ -221,6 +230,24 @@ class TestCsvInput:
         errors = json_lines(err)
         assert len(errors) == 1
         assert errors[0]["source"].endswith("broken.csv")
+
+    def test_oversized_field_fails_alone(self, tmp_path, capsys):
+        # csv.reader raises csv.Error, not ValueError, past its field size limit
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.csv").write_text("value\n1.0\n" + "9" * 200_000 + "\n2.0\n")
+        self.make_csv(corpus / "b.csv", np.random.default_rng(53).normal(size=64), header=["value"])
+        code, out, err = run_cli(
+            capsys,
+            "--input", str(corpus), "--format", "csv",
+            "--surrogates", "0", "--qmax", "2",
+        )
+        assert code == 1
+        (report,) = json_lines(out)
+        assert report["source"].endswith("b.csv")
+        (record,) = json_lines(err)
+        assert record["source"] == str(corpus / "a.csv")
+        assert record["error"].startswith(f"{corpus / 'a.csv'}: field larger than field limit")
 
 
 class TestWindowing:

@@ -86,6 +86,16 @@ class TestAgainstNaiveParser:
             r = encode(seq(symbols, A=A))
             assert list(r.codes) == naive_lzw_codes(symbols.tolist(), A)
 
+    @pytest.mark.parametrize("A", [2, 16, 17, 40, 1000])
+    def test_long_phrases_on_both_sides_of_the_table_cutoff(self, A):
+        # runs over three symbols spread across 0..A-1 build a deep dictionary
+        rng = np.random.default_rng(A)
+        used = rng.choice(A, size=3, replace=A < 3)
+        symbols = used[np.cumsum(rng.random(3000) < 0.2) % 3]
+        r = encode(seq(symbols, A=A))
+        assert list(r.codes) == naive_lzw_codes(symbols.tolist(), A)
+        assert r.phrase_count < len(symbols) / 5
+
     def test_constant_sequence_closed_form(self):
         for n in (1, 2, 3, 10, 100, 1000, 12345):
             r = encode(seq([0] * n))

@@ -133,6 +133,16 @@ class TestShuffle:
         s = seq(np.arange(100) % 2)
         assert shuffle(s, 42) == shuffle(s, 42)
 
+    @pytest.mark.parametrize("A", [2, 16, 17, 300])
+    def test_permutes_the_data_as_the_index_permutation_would(self, A):
+        # pins every surrogate value: the output must not depend on whether
+        # the data or its index range is permuted
+        data = np.random.default_rng(A).integers(0, A, 1000)
+        s = seq(data, A=A)
+        for seed in (0, 1, 7, 2**32 - 1, 2**40):
+            expected = data[np.random.default_rng(seed).permutation(len(data))]
+            assert np.array_equal(shuffle(s, seed).data, expected)
+
     def test_different_seeds_differ(self):
         s = seq(np.arange(200) % 2)
         assert shuffle(s, 1) != shuffle(s, 2)
