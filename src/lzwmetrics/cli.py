@@ -321,38 +321,34 @@ def _resolve_column(column: str | None, header: list[str] | None, path: str, wid
 def _load_csv_series(path: str, column: str | None) -> NumericSeries:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+        # Rows stream without being kept; reader.line_num is the file line
+        # on which the current row ends, blank lines counted.
+        rows = (row for row in reader if any(cell.strip() for cell in row))
         try:
-            return _read_csv_column(reader, path, column)
+            first = next(rows, None)
+            if first is None:
+                raise ValueError(f"{path}: empty CSV file")
+            header = None
+            if not _row_is_numeric(first):
+                header = [cell.strip() for cell in first]
+                first = next(rows, None)
+                if first is None:
+                    raise ValueError(f"{path}: CSV has a header but no data rows")
+            index = _resolve_column(column, header, path, width=len(first))
+            values = []
+            for row in chain([first], rows):
+                if index >= len(row):
+                    raise ValueError(f"{path}: line {reader.line_num} has no column {index}")
+                cell = row[index].strip()
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: cannot parse sample {cell!r} at line {reader.line_num}"
+                    ) from None
         except csv.Error as exc:
             # e.g. a field over csv.field_size_limit(); not a ValueError
             raise ValueError(f"{path}: {exc} at line {reader.line_num}") from None
-
-
-def _read_csv_column(reader, path: str, column: str | None) -> NumericSeries:
-    # Rows stream without being kept; reader.line_num is the file line on
-    # which the current row ends, blank lines counted.
-    rows = (row for row in reader if any(cell.strip() for cell in row))
-    first = next(rows, None)
-    if first is None:
-        raise ValueError(f"{path}: empty CSV file")
-    header = None
-    if not _row_is_numeric(first):
-        header = [cell.strip() for cell in first]
-        first = next(rows, None)
-        if first is None:
-            raise ValueError(f"{path}: CSV has a header but no data rows")
-    index = _resolve_column(column, header, path, width=len(first))
-    values = []
-    for row in chain([first], rows):
-        if index >= len(row):
-            raise ValueError(f"{path}: line {reader.line_num} has no column {index}")
-        cell = row[index].strip()
-        try:
-            values.append(float(cell))
-        except ValueError:
-            raise ValueError(
-                f"{path}: cannot parse sample {cell!r} at line {reader.line_num}"
-            ) from None
     return NumericSeries(np.array(values, dtype=np.float64))
 
 

@@ -14,7 +14,6 @@ rather than producing a packed bitstream.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -61,10 +60,11 @@ class LzwResult:
 
 
 # Alphabets up to this size parse against a dense child table, larger ones
-# against a hash table.  Peak traced memory of a parse with the dense table,
-# relative to the same parse with the hash table (tracemalloc, CPython 3.11,
-# 300k iid uniform symbols): 0.39x at A=2, 0.48x at A=4, 0.81x at A=8, 0.95x
-# at A=16, 1.00x at A=17 and 1.97x at A=32.
+# against a hash table.  Both costs were measured on CPython 3.11 with 300k
+# symbols.  Parse time, dense over hash: 0.59-0.87x for A=2..16 (iid and
+# sticky-Markov input), 0.99x at A=32 iid and 1.94x at A=64 iid.  Peak
+# traced memory (tracemalloc, iid uniform), dense over hash: 0.43x at A=2,
+# 0.55x at A=4, 0.99x at A=8, 1.11x at A=16, 1.16x at A=17 and 2.28x at A=32.
 _DENSE_MAX_A = 16
 
 
@@ -72,17 +72,17 @@ def encode(seq: SymbolSequence) -> LzwResult:
     """Parse a sequence with LZW and price its code stream.
 
     The dictionary starts as the A single-symbol strings at indices 0..A-1
-    and grows by one entry per emitted phrase (while input remains).  It is
-    stored as a trie: each entry maps every next symbol to the entry it
-    extends into.  For A up to 16 the child slots form one flat list, A
-    slots per entry, indexed directly; beyond 16 most of those slots stay
-    empty and the dense table outgrows a hash table keyed on the same slot
-    number, so larger alphabets use the hash table.  Either way every input
-    symbol costs O(1) and a full parse is linear in n; sequences of 10^7
-    symbols parse in seconds.
+    and grows by one entry per emitted phrase (while input remains).  For A
+    up to 16 it is stored as a trie whose child slots form one flat list, A
+    slots per entry, indexed directly.  Beyond 16 most of those slots stay
+    empty, the dense table outgrows a hash table and stops being faster, so
+    larger alphabets use a flat hash keyed on (matched-prefix index, next
+    symbol).  Either way every input symbol costs O(1) and a full parse is
+    linear in n; sequences of 10^7 symbols parse in seconds.
     """
     A = seq.alphabet.size
-    codes = _parse(seq.data, A)
+    parse = _parse_dense if A <= _DENSE_MAX_A else _parse_hashed
+    codes = parse(seq.data, A)
     return LzwResult(
         codes=tuple(codes),
         phrase_count=len(codes),
@@ -92,24 +92,17 @@ def encode(seq: SymbolSequence) -> LzwResult:
     )
 
 
-def _parse(data: np.ndarray, A: int) -> list[int]:
-    """Greedy LZW parse of symbols 0..A-1; returns the emitted codes."""
+def _parse_dense(data: np.ndarray, A: int) -> list[int]:
+    """Greedy LZW parse of symbols 0..A-1 against a flat child list."""
     # Entry k is held as k*A, so the child slot of (entry, symbol) is
     # entry + symbol.  Slot value 0 means no child: entry 0 is a single
-    # symbol and never anyone's child.  grow(row) gives each new entry its
-    # row of A empty slots in the dense table and leaves the hash table as
-    # it is, since its missing slots read 0.
-    if A <= _DENSE_MAX_A:
-        symbols = data.astype(np.uint8).tobytes()
-        child = [0] * (A * A)
-        grow, row = child.extend, [0] * A
-    else:
-        symbols = data.tolist()
-        child = defaultdict(int)
-        grow, row = child.update, {}
+    # symbol and never anyone's child.  Each new entry appends its row of A
+    # empty slots.
+    child = [0] * (A * A)
+    grow, row = child.extend, [0] * A
     codes: list[int] = []
     append = codes.append
-    it = iter(symbols)
+    it = iter(data.astype(np.uint8).tobytes())
     current = next(it) * A
     next_entry = A * A
     for s in it:
@@ -123,6 +116,29 @@ def _parse(data: np.ndarray, A: int) -> list[int]:
             grow(row)
             current = s * A
     append(current // A)
+    return codes
+
+
+def _parse_hashed(data: np.ndarray, A: int) -> list[int]:
+    """Greedy LZW parse of symbols 0..A-1 against a hash table."""
+    table: dict[int, int] = {}
+    codes: list[int] = []
+    append = codes.append
+    get = table.get
+    next_code = A
+    it = iter(data.tolist())
+    current = next(it)
+    for s in it:
+        key = current * A + s
+        found = get(key)
+        if found is not None:
+            current = found
+        else:
+            append(current)
+            table[key] = next_code
+            next_code += 1
+            current = s
+    append(current)
     return codes
 
 

@@ -35,9 +35,9 @@ SMALL = settings(max_examples=60, derandomize=True, database=None, deadline=None
 def sequences(draw, min_size=1, max_size=60):
     # 16 and 17 straddle the encoder's dense/hash table cutoff
     A = draw(st.sampled_from([2, 16, 17]) | st.integers(2, 40))
-    # a few distinct symbols anywhere in 0..A-1, so phrases repeat and grow
-    # even over a wide alphabet
-    used = draw(st.lists(st.integers(0, A - 1), min_size=1, max_size=4, unique=True))
+    # up to five distinct symbols anywhere in 0..A-1: the whole alphabet
+    # when A <= 5, and few enough over a wide one that phrases repeat and grow
+    used = draw(st.lists(st.integers(0, A - 1), min_size=1, max_size=5, unique=True))
     symbols = draw(st.lists(st.sampled_from(used), min_size=min_size, max_size=max_size))
     return SymbolSequence(Alphabet(A), np.array(symbols, dtype=np.int64))
 
