@@ -3,7 +3,10 @@
 Feeds symbol files, CSV recordings, or synthetic generator output through
 the metric pipeline and emits one report per unit (a whole input, or each
 full fixed-length window of it) as JSON lines or CSV rows.  Symbol files
-are UTF-8 and hold the ASCII digits ``0``..``A-1``, whitespace ignored; CSV
+are UTF-8 and hold the ASCII digits ``0``..``A-1``, whitespace ignored.  CSV
+files are UTF-8 too.  A plain numeric one takes a vectorized ``np.loadtxt``
+read; quoted or oversized input, or any file that read rejects, falls back
+to a ``csv.reader`` row parser with the same samples and messages.  CSV
 load errors cite file line numbers, blank lines counted.  A directory input
 skips the ``--output`` file if it lies inside, so a report is never read
 back as an input.
@@ -18,6 +21,7 @@ happen, and the run continues.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import io
 import json
@@ -265,14 +269,20 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 # --- ingestion ---------------------------------------------------------------
 
 
+def _utf8_error(path: str, exc: UnicodeDecodeError, offset: int = 0) -> ValueError:
+    """The load error for an undecodable byte; ``exc.object`` starts at file ``offset``."""
+    return ValueError(
+        f"{path}: byte 0x{exc.object[exc.start]:02x} at offset {offset + exc.start} "
+        "is not valid UTF-8"
+    )
+
+
 def _load_symbol_file(path: str, alphabet_size: int) -> SymbolSequence:
     raw = Path(path).read_bytes()
     try:
         text = "".join(raw.decode("utf-8").split())
     except UnicodeDecodeError as exc:
-        raise ValueError(
-            f"{path}: byte 0x{raw[exc.start]:02x} at offset {exc.start} is not valid UTF-8"
-        ) from None
+        raise _utf8_error(path, exc) from None
     if not text:
         raise ValueError(f"{path}: no symbols found")
     # One UTF-32 unit per code point; only ASCII '0'..'9' are symbol digits.
@@ -318,23 +328,106 @@ def _resolve_column(column: str | None, header: list[str] | None, path: str, wid
     return header.index(column)
 
 
+def _csv_head(
+    path: str, reader: Iterator[list[str]], column: str | None
+) -> tuple[int, list[str], Iterator[list[str]]]:
+    """Sniff the header and resolve the column of a CSV file.
+
+    Returns the column index, the first data row, and the non-blank rows
+    after it.  ``reader.line_num`` is then the file line on which the first
+    data row ends, blank lines counted.
+    """
+    rows = (row for row in reader if any(cell.strip() for cell in row))
+    first = next(rows, None)
+    if first is None:
+        raise ValueError(f"{path}: empty CSV file")
+    header = None
+    if not _row_is_numeric(first):
+        header = [cell.strip() for cell in first]
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{path}: CSV has a header but no data rows")
+    return _resolve_column(column, header, path, width=len(first)), first, rows
+
+
+_SCAN_BYTES = 1 << 17
+
+
+def _plain_csv(path: str) -> bool:
+    """Scan a CSV file's bytes in bounded chunks before it is parsed.
+
+    Raises ValueError at the first byte that is not valid UTF-8.  Returns
+    True when ``np.loadtxt`` reads the file as the csv module does: it holds
+    no quote character, so every row is one line, and no line is longer
+    than ``csv.field_size_limit()``, so the csv module rejects no field.
+    """
+    limit = csv.field_size_limit()
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    quoted = False
+    offset = 0
+    last_newline = -1
+    longest = 0  # the widest distance between newlines, the file edges counted
+    with open(path, "rb") as fh:
+        # Chunks are no longer than the limit, so only a line that crosses
+        # a chunk boundary can exceed it.
+        while chunk := fh.read(min(limit, _SCAN_BYTES)):
+            pending = len(decoder.getstate()[0])
+            try:
+                decoder.decode(chunk)
+            except UnicodeDecodeError as exc:
+                raise _utf8_error(path, exc, offset - pending) from None
+            quoted = quoted or b'"' in chunk
+            first = chunk.find(b"\n")
+            if first >= 0:
+                longest = max(longest, offset + first - last_newline)
+                last_newline = offset + chunk.rfind(b"\n")
+            offset += len(chunk)
+    try:
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(path, exc, offset - len(exc.object)) from None
+    longest = max(longest, offset - last_newline)
+    return not quoted and longest <= limit
+
+
 def _load_csv_series(path: str, column: str | None) -> NumericSeries:
-    with open(path, newline="") as fh:
+    """Read one CSV column: one ``np.loadtxt`` call, or the row loop.
+
+    The vectorized read runs only on files :func:`_plain_csv` passes, and
+    after the same header sniff as the row loop.
+    """
+    if _plain_csv(path):
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                index, _, _ = _csv_head(path, reader, column)
+            samples = np.loadtxt(
+                path, delimiter=",", skiprows=reader.line_num - 1, usecols=index,
+                comments=None, encoding="utf-8", dtype=np.float64, ndmin=1,
+            )
+        except Exception:
+            # loadtxt accepts less than float() does ("1_0", non-ASCII
+            # digits, whitespace-only rows), and its errors read differently.
+            # Whatever failed, the row loop rereads the file: it gives the
+            # samples, or the load error with its own message.
+            pass
+        else:
+            return NumericSeries(samples)
+    return _read_csv_rows(path, column)
+
+
+def _read_csv_rows(path: str, column: str | None) -> NumericSeries:
+    """Read one CSV column a ``csv.reader`` row at a time.
+
+    The reference reader: it takes every file the csv module and ``float``
+    accept, and words every CSV load error.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         # Rows stream without being kept; reader.line_num is the file line
         # on which the current row ends, blank lines counted.
-        rows = (row for row in reader if any(cell.strip() for cell in row))
         try:
-            first = next(rows, None)
-            if first is None:
-                raise ValueError(f"{path}: empty CSV file")
-            header = None
-            if not _row_is_numeric(first):
-                header = [cell.strip() for cell in first]
-                first = next(rows, None)
-                if first is None:
-                    raise ValueError(f"{path}: CSV has a header but no data rows")
-            index = _resolve_column(column, header, path, width=len(first))
+            index, first, rows = _csv_head(path, reader, column)
             values = []
             for row in chain([first], rows):
                 if index >= len(row):

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .entropy import EntropyProfile, entropy_profile
 from .lzw import encode
 from .sequence import SymbolSequence, shuffle
@@ -107,15 +109,16 @@ def rho1_surrogate(l_lzw_bits: float, seq: SymbolSequence, surrogates: int, seed
     ``l_lzw_bits`` is the description length of ``seq`` itself, as priced by
     its own parse; only the surrogates are parsed here.  Shuffling preserves
     the symbol histogram while destroying temporal order, which drives the
-    surrogate description length toward n * h0.  Surrogate k uses the
-    shuffle generator seeded with seed + k, so the result is deterministic
-    for a fixed seed.  The denominator is always positive (even a single
-    phrase costs one bit).
+    surrogate description length toward n * h0.  Surrogate k = 1..S
+    shuffles with a generator seeded from ``SeedSequence([seed, k])``: each
+    (seed, k) pair has its own stream, so windows seeded base + w never
+    share a shuffle, and the result is deterministic for a fixed seed.  The
+    denominator is always positive (even a single phrase costs one bit).
     """
     if surrogates < 1:
         raise ValueError(f"surrogate count must be at least 1, got {surrogates}")
     l_shuf = [
-        encode(shuffle(seq, seed + k)).description_length_bits
+        encode(shuffle(seq, np.random.SeedSequence([seed, k]))).description_length_bits
         for k in range(1, surrogates + 1)
     ]
     # l / (fsum(ls) / k) written as l * k / fsum(ls): when every surrogate

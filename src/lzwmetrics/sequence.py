@@ -124,7 +124,7 @@ def digitize_quantiles(series: NumericSeries, levels: int) -> SymbolSequence:
     return SymbolSequence(Alphabet(levels), symbols.astype(np.int64))
 
 
-def shuffle(seq: SymbolSequence, seed: int) -> SymbolSequence:
+def shuffle(seq: SymbolSequence, seed: int | np.random.SeedSequence) -> SymbolSequence:
     """Uniformly permute a sequence with a seed-determined generator.
 
     numpy's ``default_rng`` (PCG64 bit generator) runs a Fisher-Yates

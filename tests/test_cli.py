@@ -233,21 +233,75 @@ class TestCsvInput:
 
     def test_oversized_field_fails_alone(self, tmp_path, capsys):
         # csv.reader raises csv.Error, not ValueError, past its field size limit
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        (corpus / "a.csv").write_text("value\n1.0\n" + "9" * 200_000 + "\n2.0\n")
-        self.make_csv(corpus / "b.csv", np.random.default_rng(53).normal(size=64), header=["value"])
-        code, out, err = run_cli(
-            capsys,
-            "--input", str(corpus), "--format", "csv",
-            "--surrogates", "0", "--qmax", "2",
-        )
+        cases = [
+            ("value\n1.0\n" + "9" * 200_000 + "\n2.0\n", []),
+            # in a column that is not read: np.loadtxt alone would accept it
+            ("t,value\n0,1.0\n" + "9" * 200_000 + ",2.0\n2,3.0\n", ["--column", "value"]),
+        ]
+        for i, (text, column) in enumerate(cases):
+            corpus = tmp_path / f"corpus{i}"
+            corpus.mkdir()
+            (corpus / "a.csv").write_text(text)
+            values = np.random.default_rng(53).normal(size=64)
+            self.make_csv(corpus / "b.csv", values, header=["value"])
+            code, out, err = run_cli(
+                capsys,
+                "--input", str(corpus), "--format", "csv", *column,
+                "--surrogates", "0", "--qmax", "2",
+            )
+            assert code == 1
+            (report,) = json_lines(out)
+            assert report["source"].endswith("b.csv")
+            (record,) = json_lines(err)
+            assert record["source"] == str(corpus / "a.csv")
+            error = record["error"]
+            assert error.startswith(f"{corpus / 'a.csv'}: field larger than field limit")
+            assert error.endswith(" at line 3")
+
+    @pytest.mark.parametrize(
+        "text, samples",
+        [
+            ('value\n1.0\n"2.5"\n3.0\n', [1.0, 2.5, 3.0]),
+            # a quoted field spanning lines is one row, not two
+            ('value,note\n1.0,"a\n2.0,b"\n3.0,c\n', [1.0, 3.0]),
+        ],
+    )
+    def test_quoted_fields(self, tmp_path, text, samples):
+        path = tmp_path / "quoted.csv"
+        path.write_text(text)
+        assert cli._load_csv_series(str(path), "value").samples.tolist() == samples
+
+    def test_undecodable_byte_fails_with_its_offset(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"value\n1.0\n2\xff.0\n3.0\n")
+        code, out, err = run_cli(capsys, "--input", str(path), "--format", "csv")
         assert code == 1
-        (report,) = json_lines(out)
-        assert report["source"].endswith("b.csv")
+        assert out == ""
         (record,) = json_lines(err)
-        assert record["source"] == str(corpus / "a.csv")
-        assert record["error"].startswith(f"{corpus / 'a.csv'}: field larger than field limit")
+        assert record["error"] == f"{path}: byte 0xff at offset 11 is not valid UTF-8"
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 20])
+    def test_utf8_check_spans_scan_chunks(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_SCAN_BYTES", chunk)
+        good = tmp_path / "good.csv"
+        good.write_bytes("m\u00e9tre\n1.0\n2.0\n".encode())
+        assert cli._load_csv_series(str(good), "m\u00e9tre").samples.tolist() == [1.0, 2.0]
+        # a bad continuation byte, and a sequence cut off by the end of file
+        for raw, byte in [(b"x\n1.0\n\xc3(\n", "c3"), (b"x\n1.0\n\xe2\x82", "e2")]:
+            bad = tmp_path / "bad.csv"
+            bad.write_bytes(raw)
+            with pytest.raises(ValueError) as info:
+                cli._load_csv_series(str(bad), None)
+            assert str(info.value) == f"{bad}: byte 0x{byte} at offset 6 is not valid UTF-8"
+
+    def test_plain_numeric_file_skips_the_row_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "plain.csv"
+        # several scan chunks long, so lines cross chunk boundaries
+        rows = "".join(f"{i},{i / 7:.6f}\n" for i in range(3, 30_000))
+        path.write_text("t,value\n\n0,1.5\r\n1, -2e3 \n2,inf\n\n" + rows)
+        reference = cli._read_csv_rows(str(path), "value").samples
+        monkeypatch.setattr(cli, "_read_csv_rows", None)
+        assert cli._load_csv_series(str(path), "value").samples.tolist() == reference.tolist()
 
 
 class TestWindowing:

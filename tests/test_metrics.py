@@ -11,6 +11,7 @@ from lzwmetrics import (
     analyze,
     encode,
     generate,
+    metrics,
     rho0,
     rho1_analytic,
     rho1_surrogate,
@@ -84,6 +85,23 @@ class TestRho1Surrogate:
                 encode(shuffle(s, s_id + k)).description_length_bits for k in (1, 2, 3)
             ]
             assert sum(l_shuf) / 3 >= l_orig
+
+    def test_no_two_windows_share_a_shuffle(self, monkeypatch):
+        # windows are seeded base + w; surrogate k of window w must not repeat
+        # surrogate k - 1 of window w + 1
+        s = SymbolSequence(Alphabet(64), np.arange(64))
+        seen = []
+
+        def recording_shuffle(seq, seed):
+            out = shuffle(seq, seed)
+            seen.append(out.data.tobytes())
+            return out
+
+        monkeypatch.setattr(metrics, "shuffle", recording_shuffle)
+        for w in range(6):
+            rho1_surrogate(encode(s).description_length_bits, s, 4, 7 + w)
+        assert len(seen) == 24
+        assert len(set(seen)) == 24
 
     def test_rejects_zero_surrogates(self):
         with pytest.raises(ValueError):

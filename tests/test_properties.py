@@ -10,6 +10,7 @@ import math
 from itertools import groupby
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from lzwmetrics import (
     entropy_profile,
     shuffle,
 )
-from lzwmetrics.cli import csv_header, emit_report
+from lzwmetrics.cli import _load_csv_series, _read_csv_rows, csv_header, emit_report
 
 from oracles import footnote_bits, naive_lzw_codes
 
@@ -104,3 +105,55 @@ def test_csv_and_json_share_one_schema(s, q_max, surrogates):
     folded = [name for name, _ in groupby("hq" if h.startswith("hq_") else h for h in header)]
     assert folded == list(json.loads(emit_report(report)))
     assert len(row) == len(header)
+
+
+# Cells both readers take, and cells where np.loadtxt and float() differ:
+# underscores, a non-ASCII digit, Unicode spaces, comment and quote marks,
+# blank and whitespace-only cells.
+_NUMBERS = ["1", "-2.5", "3e2", " 4 ", ".5", "+6.", "1e400", "infinity", "-inf", "nan"]
+_TRICKY = [
+    "1_0", "\u0661", "\xa02", "\x0c", "3\x0c", "#", "#1", '"', '"7"', '"8', "", " ", "\t",
+    "x", "value",
+]
+
+
+@st.composite
+def csv_files(draw):
+    width = draw(st.integers(1, 3))
+    cell = st.sampled_from(_NUMBERS * 4 + _TRICKY)
+    row = st.lists(cell, min_size=width, max_size=width) | st.lists(cell, max_size=4)
+    names = st.sampled_from(["t", "value", " value ", "1", "#"])
+    header = st.lists(names, min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=8))
+    if draw(st.booleans()):
+        rows.insert(0, draw(header))
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(",".join(r) + draw(endings) for r in rows)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text, draw(st.sampled_from([None, "0", "1", "value"]))
+
+
+def _csv_outcome(load, path, column):
+    try:
+        return load(path, column).samples.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "case.csv"
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(csv_files())
+def test_csv_loader_matches_the_row_loop(csv_path, case):
+    # The row loop is the reference: same float64 bytes or the same message.
+    text, column = case
+    csv_path.write_bytes(text.encode("utf-8"))
+    path = str(csv_path)
+    expected = _csv_outcome(_read_csv_rows, path, column)
+    assert _csv_outcome(_load_csv_series, path, column) == expected
