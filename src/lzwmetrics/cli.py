@@ -4,7 +4,8 @@ Feeds symbol files, CSV recordings, or synthetic generator output through
 the metric pipeline and emits one report per unit (a whole input, or each
 full fixed-length window of it) as JSON lines or CSV rows.  Symbol files
 are UTF-8 and hold the ASCII digits ``0``..``A-1``, whitespace ignored.  CSV
-files are UTF-8 too.  A plain numeric one takes a vectorized ``np.loadtxt``
+files are UTF-8 too.  One leading byte-order mark is dropped from every input
+file; error offsets still count its bytes.  A plain numeric one takes a vectorized ``np.loadtxt``
 read; quoted or oversized input, or any file that read rejects, falls back
 to a ``csv.reader`` row parser with the same samples and messages.  CSV
 load errors cite file line numbers, blank lines counted.  A directory input
@@ -196,7 +197,7 @@ def _parse_generator_spec(text: str) -> GeneratorInput:
         elif kind == "markov":
             spec = symmetric_binary_markov(float(params.pop("eps")))
         elif kind == "markov-file":
-            table = np.loadtxt(table_path, delimiter=",", ndmin=2)
+            table = np.loadtxt(table_path, delimiter=",", ndmin=2, encoding="utf-8-sig")
             spec = ProcessSpec.markov(table, alphabet_size=table.shape[1])
         elif kind == "periodic":
             spec = ProcessSpec.periodic([int(ch) for ch in params.pop("pattern")])
@@ -280,7 +281,8 @@ def _utf8_error(path: str, exc: UnicodeDecodeError, offset: int = 0) -> ValueErr
 def _load_symbol_file(path: str, alphabet_size: int) -> SymbolSequence:
     raw = Path(path).read_bytes()
     try:
-        text = "".join(raw.decode("utf-8").split())
+        # Not "utf-8-sig": its error positions skip the byte-order mark.
+        text = "".join(raw.decode("utf-8").removeprefix("\ufeff").split())
     except UnicodeDecodeError as exc:
         raise _utf8_error(path, exc) from None
     if not text:
@@ -398,12 +400,12 @@ def _load_csv_series(path: str, column: str | None) -> NumericSeries:
     """
     if _plain_csv(path):
         try:
-            with open(path, newline="", encoding="utf-8") as fh:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
                 reader = csv.reader(fh)
                 index, _, _ = _csv_head(path, reader, column)
             samples = np.loadtxt(
                 path, delimiter=",", skiprows=reader.line_num - 1, usecols=index,
-                comments=None, encoding="utf-8", dtype=np.float64, ndmin=1,
+                comments=None, encoding="utf-8-sig", dtype=np.float64, ndmin=1,
             )
         except Exception:
             # loadtxt accepts less than float() does ("1_0", non-ASCII
@@ -422,7 +424,7 @@ def _read_csv_rows(path: str, column: str | None) -> NumericSeries:
     The reference reader: it takes every file the csv module and ``float``
     accept, and words every CSV load error.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         # Rows stream without being kept; reader.line_num is the file line
         # on which the current row ends, blank lines counted.

@@ -80,35 +80,61 @@ def empirical_h0(seq: SymbolSequence) -> float:
     return empirical_block_entropy(seq, 1)
 
 
+def _code_counts(grams: np.ndarray, size: int) -> np.ndarray:
+    # Nonzero counts in ascending code order.  A table no longer than the
+    # codes is counted by direct addressing; a larger one would cost more
+    # memory than the codes themselves, so those are sorted.
+    if size <= grams.size:
+        counts = np.bincount(grams)
+        return counts[counts > 0]
+    return np.unique(grams, return_counts=True)[1]
+
+
+def _block_entropies(seq: SymbolSequence, q_lo: int, q_hi: int) -> list[float]:
+    """Block entropies of orders q_lo..q_hi, in order; both bounds must be valid."""
+    A = seq.alphabet.size
+    data = seq.data
+    n = len(seq)
+    blocks = []
+    # Order-q codes are the Horner packing of each window; order q + 1 reuses
+    # them in place (drop the last code, shift by A, add the next symbol).
+    grams = data.copy()
+    for q in range(1, q_hi + 1):
+        if q * math.log2(A) > 62:
+            # The code would overflow int64: count whole windows instead.
+            grams = None
+            if q >= q_lo:
+                windows = np.lib.stride_tricks.sliding_window_view(data, q)
+                blocks.append(
+                    _entropy_bits(np.unique(windows, axis=0, return_counts=True)[1], n - q + 1)
+                )
+            continue
+        if q > 1:
+            grams = grams[:-1]
+            grams *= A
+            grams += data[q - 1 :]
+        if q >= q_lo:
+            blocks.append(_entropy_bits(_code_counts(grams, A**q), n - q + 1))
+    return blocks
+
+
 def empirical_block_entropy(seq: SymbolSequence, q: int) -> float:
     """Entropy (bits) of the empirical distribution of overlapping q-grams.
 
     All n-q+1 windows count, so consecutive orders share their sample
-    positions up to boundary terms.  Grams are packed into int64 words when
-    A**q allows it; wider grams fall back to row-wise counting.
+    positions up to boundary terms.  Each window is packed into one int64
+    code, built from the order-(q-1) codes in one pass per order.  The codes
+    are counted by direct addressing when the A**q possible codes number no
+    more than the windows, so the count table is never larger than the code
+    array; otherwise they are sorted.  Windows with q*log2(A) > 62 would
+    overflow the code and are counted row-wise.
     """
     n = len(seq)
     if q < 1:
         raise ValueError(f"block order must be at least 1, got {q}")
     if q > n:
         raise ValueError(f"block order {q} exceeds sequence length {n}")
-    A = seq.alphabet.size
-    data = seq.data
-    total = n - q + 1
-    if q == 1:
-        counts = np.bincount(data, minlength=A)
-        counts = counts[counts > 0]
-        return _entropy_bits(counts, total)
-    if q * math.log2(A) <= 62:
-        grams = np.zeros(total, dtype=np.int64)
-        for j in range(q):
-            grams *= A
-            grams += data[j : j + total]
-        _, counts = np.unique(grams, return_counts=True)
-    else:
-        windows = np.lib.stride_tricks.sliding_window_view(data, q)
-        _, counts = np.unique(windows, axis=0, return_counts=True)
-    return _entropy_bits(counts, total)
+    return _block_entropies(seq, q, q)[0]
 
 
 def _conditional(block_q: float, block_next: float) -> float:
@@ -126,13 +152,16 @@ def empirical_hq(seq: SymbolSequence, q: int) -> float:
     n = len(seq)
     if not 1 <= q <= n - 1:
         raise ValueError(f"order q must lie in 1..{n - 1}, got {q}")
-    return _conditional(empirical_block_entropy(seq, q), empirical_block_entropy(seq, q + 1))
+    return _conditional(*_block_entropies(seq, q, q + 1))
 
 
 def entropy_profile(seq: SymbolSequence, q_max: int) -> EntropyProfile:
     """Bundle :func:`empirical_h0` with conditional entropies up to q_max.
 
-    One block entropy per order 1..q_max+1; the first is h0.
+    One block entropy per order 1..q_max+1; the first is h0.  Every order
+    costs one pass over the codes of the order below plus one count, by
+    direct addressing or by sorting as :func:`empirical_block_entropy`
+    describes, so the count table is never larger than the code array.
     """
     n = len(seq)
     if q_max < 1:
@@ -140,7 +169,7 @@ def entropy_profile(seq: SymbolSequence, q_max: int) -> EntropyProfile:
     limit = min(n - 1, Q_MAX_LIMIT)
     if q_max > limit:
         raise ValueError(f"q_max {q_max} exceeds min(n - 1, {Q_MAX_LIMIT}) = {limit}")
-    blocks = [empirical_block_entropy(seq, q) for q in range(1, q_max + 2)]
+    blocks = _block_entropies(seq, 1, q_max + 1)
     hq = tuple(_conditional(lo, hi) for lo, hi in zip(blocks, blocks[1:]))
     return EntropyProfile(h0=blocks[0], hq=hq, q_max=q_max)
 

@@ -74,6 +74,18 @@ class TestSymbolInput:
         (record,) = json_lines(err)
         assert record["error"] == f"{path}: byte 0xff at offset 2 is not valid UTF-8"
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf0110100")
+        code, out, err = run_cli(capsys, "--input", str(path), "--surrogates", "0", "--qmax", "1")
+        assert (code, err) == (0, "")
+        assert json_lines(out)[0]["n"] == 7
+        # error offsets still count the mark's three bytes
+        path.write_bytes(b"\xef\xbb\xbf01\xff")
+        code, _, err = run_cli(capsys, "--input", str(path), "--surrogates", "0", "--qmax", "1")
+        assert code == 1
+        assert json_lines(err)[0]["error"] == f"{path}: byte 0xff at offset 5 is not valid UTF-8"
+
     def test_wider_alphabet(self, tmp_path, capsys):
         path = tmp_path / "quaternary.txt"
         path.write_text("0123012301230123")
@@ -135,6 +147,15 @@ class TestGeneratorInput:
         # stationary law is (2/3, 1/3); the ones fraction tracks it
         report = json_lines(out)[0]
         assert report["n"] == 50000
+
+    def test_markov_file_with_byte_order_mark(self, tmp_path, capsys):
+        table = tmp_path / "chain.csv"
+        table.write_bytes(b"\xef\xbb\xbf0.9,0.1\n0.2,0.8\n")
+        code, out, _ = run_cli(
+            capsys, "--generate", f"markov-file:{table},n=100", "--surrogates", "0", "--qmax", "1"
+        )
+        assert code == 0
+        assert json_lines(out)[0]["n"] == 100
 
     def test_bad_generator_spec_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "--generate", "bernoulli:p=0.5")
@@ -270,6 +291,31 @@ class TestCsvInput:
         path = tmp_path / "quoted.csv"
         path.write_text(text)
         assert cli._load_csv_series(str(path), "value").samples.tolist() == samples
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["vectorized", "row-loop"])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, capsys, quote):
+        headerless = tmp_path / "headerless.csv"
+        headerless.write_bytes(f"\ufeff{quote}1.0{quote}\n2.0\n3.0\n4.0\n".encode())
+        named = tmp_path / "named.csv"
+        named.write_bytes(f"\ufeff{quote}t{quote},value\n0,1.5\n1,2.5\n2,3.5\n".encode())
+        for path, column, samples in [
+            (headerless, None, [1.0, 2.0, 3.0, 4.0]),
+            (named, "t", [0.0, 1.0, 2.0]),
+        ]:
+            assert cli._load_csv_series(str(path), column).samples.tolist() == samples
+            assert cli._read_csv_rows(str(path), column).samples.tolist() == samples
+        code, out, err = run_cli(
+            capsys, "--input", str(named), "--format", "csv", "--column", "t", "--qmax", "1"
+        )
+        assert (code, err) == (0, "")
+        assert json_lines(out)[0]["n"] == 3
+
+    def test_byte_order_mark_counts_in_error_offsets(self, tmp_path):
+        path = tmp_path / "bom-latin1.csv"
+        path.write_bytes(b"\xef\xbb\xbfvalue\n1.0\n2\xff.0\n")
+        with pytest.raises(ValueError) as info:
+            cli._load_csv_series(str(path), None)
+        assert str(info.value) == f"{path}: byte 0xff at offset 14 is not valid UTF-8"
 
     def test_undecodable_byte_fails_with_its_offset(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"

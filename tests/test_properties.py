@@ -11,14 +11,16 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from lzwmetrics import (
+    Q_MAX_LIMIT,
     Alphabet,
     SymbolSequence,
     analyze,
     decode,
+    empirical_block_entropy,
     empirical_h0,
     empirical_hq,
     encode,
@@ -86,6 +88,66 @@ def test_entropy_bounds(s, q_max):
     profile = entropy_profile(s, min(q_max, len(s) - 1))
     assert all(h >= 0.0 for h in profile.hq)
     assert profile.h0 <= math.log2(s.alphabet.size) + 1e-12
+
+
+def _sorted_block_entropy(s, q):
+    # Reference counter: each order packs its codes from scratch and sorts
+    # them; windows too wide for an int64 code are sorted row-wise.
+    A, data, total = s.alphabet.size, s.data, len(s) - q + 1
+    if q * math.log2(A) <= 62:
+        grams = np.zeros(total, dtype=np.int64)
+        for j in range(q):
+            grams *= A
+            grams += data[j : j + total]
+        _, counts = np.unique(grams, return_counts=True)
+    else:
+        windows = np.lib.stride_tricks.sliding_window_view(data, q)
+        _, counts = np.unique(windows, axis=0, return_counts=True)
+    probs = counts / total
+    return float(-(probs * np.log2(probs)).sum())
+
+
+def _counter(A, q, n):
+    if q * math.log2(A) > 62:
+        return "row-wise"
+    return "direct" if A**q <= n - q + 1 else "sort"
+
+
+@st.composite
+def profile_cases(draw):
+    # A = 2 over ~100 symbols counts by direct addressing up to q = 6; wide
+    # alphabets sort, and from q = 8 (A = 300) or q = 16 (A = 16) go row-wise.
+    A = draw(st.sampled_from([2, 3, 16, 300]) | st.integers(2, 64))
+    used = draw(st.lists(st.integers(0, A - 1), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(2, 120))
+    symbols = draw(st.lists(st.sampled_from(used), min_size=n, max_size=n))
+    limit = min(n - 1, Q_MAX_LIMIT)
+    q_max = draw(st.just(limit) | st.integers(1, limit))
+    return SymbolSequence(Alphabet(A), np.array(symbols, dtype=np.int64)), q_max
+
+
+def _binary_case(n, q_max):
+    return SymbolSequence(Alphabet(2), np.arange(n) * 7 // 3 % 2), q_max
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(profile_cases())
+@example(_binary_case(100, 5))  # direct addressing at every order
+@example((SymbolSequence(Alphabet(17), np.arange(30) % 17), 3))  # sorting from q = 2
+@example((SymbolSequence(Alphabet(16), np.arange(40) % 5), 16))  # row-wise at q = 16, 17
+def test_entropy_matches_the_sorting_reference_exactly(case):
+    s, q_max = case
+    n = len(s)
+    blocks = [_sorted_block_entropy(s, q) for q in range(1, q_max + 2)]
+    hq = [max(0.0, hi - lo) for lo, hi in zip(blocks, blocks[1:])]
+    for q in range(1, q_max + 2):
+        event(f"counter: {_counter(s.alphabet.size, q, n)}")
+        assert empirical_block_entropy(s, q) == blocks[q - 1]
+    for q in range(1, q_max + 1):
+        assert empirical_hq(s, q) == hq[q - 1]
+    profile = entropy_profile(s, q_max)
+    assert profile.h0 == blocks[0]
+    assert list(profile.hq) == hq
 
 
 @SMALL
