@@ -4,13 +4,13 @@ Feeds symbol files, CSV recordings, or synthetic generator output through
 the metric pipeline and emits one report per unit (a whole input, or each
 full fixed-length window of it) as JSON lines or CSV rows.  Symbol files
 are UTF-8 and hold the ASCII digits ``0``..``A-1``, whitespace ignored.  CSV
-files are UTF-8 too.  One leading byte-order mark is dropped from every input
-file; error offsets still count its bytes.  A plain numeric one takes a vectorized ``np.loadtxt``
+files are UTF-8 too.  A plain numeric one takes a vectorized ``np.loadtxt``
 read; quoted or oversized input, or any file that read rejects, falls back
 to a ``csv.reader`` row parser with the same samples and messages.  CSV
-load errors cite file line numbers, blank lines counted.  A directory input
-skips the ``--output`` file if it lies inside, so a report is never read
-back as an input.
+load errors cite file line numbers, blank lines counted.  One leading
+byte-order mark is dropped from every input file; error offsets still count
+its bytes.  A directory input skips the ``--output`` file if it lies
+inside, so a report is never read back as an input.
 
 Unit order, and therefore output bytes, are deterministic: paths sort
 lexicographically and windows by index.  Units stream: one input is loaded

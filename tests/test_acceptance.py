@@ -9,12 +9,15 @@ their stated tolerances and runtime budgets.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import lzwmetrics
 from lzwmetrics import (
     Alphabet,
     ProcessSpec,
@@ -217,6 +220,9 @@ def test_criterion_9_pipeline_determinism(tmp_path):
         (corpus / f"rec{i:02d}.csv").write_text(
             "value\n" + "\n".join(repr(float(v)) for v in values) + "\n"
         )
+    # The child imports the package this process imported, installed or not.
+    paths = [str(Path(lzwmetrics.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     outputs = []
     for run_id in (1, 2):
         out_path = tmp_path / f"run{run_id}.jsonl"
@@ -229,6 +235,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out_path.read_bytes())

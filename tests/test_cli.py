@@ -310,21 +310,16 @@ class TestCsvInput:
         assert (code, err) == (0, "")
         assert json_lines(out)[0]["n"] == 3
 
-    def test_byte_order_mark_counts_in_error_offsets(self, tmp_path):
-        path = tmp_path / "bom-latin1.csv"
-        path.write_bytes(b"\xef\xbb\xbfvalue\n1.0\n2\xff.0\n")
-        with pytest.raises(ValueError) as info:
-            cli._load_csv_series(str(path), None)
-        assert str(info.value) == f"{path}: byte 0xff at offset 14 is not valid UTF-8"
-
     def test_undecodable_byte_fails_with_its_offset(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
-        path.write_bytes(b"value\n1.0\n2\xff.0\n3.0\n")
-        code, out, err = run_cli(capsys, "--input", str(path), "--format", "csv")
-        assert code == 1
-        assert out == ""
-        (record,) = json_lines(err)
-        assert record["error"] == f"{path}: byte 0xff at offset 11 is not valid UTF-8"
+        # a leading byte-order mark is dropped, but its bytes still count
+        for bom, offset in [(b"", 11), (b"\xef\xbb\xbf", 14)]:
+            path.write_bytes(bom + b"value\n1.0\n2\xff.0\n3.0\n")
+            code, out, err = run_cli(capsys, "--input", str(path), "--format", "csv")
+            assert code == 1
+            assert out == ""
+            (record,) = json_lines(err)
+            assert record["error"] == f"{path}: byte 0xff at offset {offset} is not valid UTF-8"
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 20])
     def test_utf8_check_spans_scan_chunks(self, tmp_path, monkeypatch, chunk):

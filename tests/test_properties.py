@@ -126,13 +126,9 @@ def profile_cases(draw):
     return SymbolSequence(Alphabet(A), np.array(symbols, dtype=np.int64)), q_max
 
 
-def _binary_case(n, q_max):
-    return SymbolSequence(Alphabet(2), np.arange(n) * 7 // 3 % 2), q_max
-
-
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(profile_cases())
-@example(_binary_case(100, 5))  # direct addressing at every order
+@example((SymbolSequence(Alphabet(2), np.arange(100) * 7 // 3 % 2), 5))  # direct addressing
 @example((SymbolSequence(Alphabet(17), np.arange(30) % 17), 3))  # sorting from q = 2
 @example((SymbolSequence(Alphabet(16), np.arange(40) % 5), 16))  # row-wise at q = 16, 17
 def test_entropy_matches_the_sorting_reference_exactly(case):
