@@ -493,8 +493,8 @@ def _sources(config: RunConfig) -> list[str]:
 
 def _units(
     source: str, config: RunConfig
-) -> Iterator[tuple[str, int, SymbolSequence | str | None]]:
-    """Load one source and yield its units in order as (label, seed, sequence).
+) -> Iterator[tuple[str, SymbolSequence | str | None]]:
+    """Load one source and yield its units in order as (label, sequence).
 
     In place of the sequence comes the error message if the source failed to
     load, or None for a dropped trailing partial window.  Windows are cut
@@ -504,17 +504,17 @@ def _units(
     try:
         data = _load(source, config)
     except (OSError, ValueError) as exc:
-        yield source, config.seed, str(exc)
+        yield source, str(exc)
         return
     if config.window_length is None:
-        yield source, config.seed, _to_symbols(data, config)
+        yield source, _to_symbols(data, config)
         return
     for i, piece in enumerate(_windows(data, config.window_length)):
         # Digitization is per window: each analyzed unit gets its own
         # threshold, so every window attains the digitizer's entropy
         # guarantee on its own.
         unit = None if piece is None else _to_symbols(piece, config)
-        yield f"{source}@{i}", config.seed + i, unit
+        yield f"{source}@{i}", unit
 
 
 # --- serialization -----------------------------------------------------------
@@ -608,26 +608,32 @@ def run(config: RunConfig) -> int:
     """Execute one batch run; returns the process exit status.
 
     Each report line is written and flushed as soon as its unit is analyzed,
-    so a later crash keeps every finished report.
+    so a later crash keeps every finished report.  Units are numbered across
+    all inputs, failed and dropped ones included, and unit k of the run gets
+    seed ``config.seed + k``.
     """
     sources = _sources(config)
     failed = dropped = 0
-    output = open(config.output_path, "w") if config.output_path else nullcontext(sys.stdout)
+    try:
+        output = open(config.output_path, "w") if config.output_path else nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot open --output {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     with output as out:
         if config.output_format == "csv":
             print(csv_header(config.q_max), file=out, flush=True)
-        for source in sources:
-            for label, seed, unit in _units(source, config):
-                if unit is None:
-                    dropped += 1
-                    continue
-                try:
-                    line = _report_line(unit, label, seed, config)
-                except ValueError as exc:
-                    failed += 1
-                    print(json.dumps({"source": label, "error": str(exc)}), file=sys.stderr)
-                    continue
-                print(line, file=out, flush=True)
+        units = chain.from_iterable(_units(source, config) for source in sources)
+        for seed, (label, unit) in enumerate(units, config.seed):
+            if unit is None:
+                dropped += 1
+                continue
+            try:
+                line = _report_line(unit, label, seed, config)
+            except ValueError as exc:
+                failed += 1
+                print(json.dumps({"source": label, "error": str(exc)}), file=sys.stderr)
+                continue
+            print(line, file=out, flush=True)
     if config.window_length is not None:
         print(f"windowing: dropped {dropped} trailing partial window(s)", file=sys.stderr)
     return 1 if failed else 0

@@ -34,8 +34,8 @@ __all__ = [
     "stationary_distribution",
 ]
 
-# q-gram tables grow as A**q; beyond this order the estimates are noise at
-# any realistic n and the tables stop fitting in memory.
+# Beyond this order the plug-in estimates are noise at any realistic n; the
+# limit bounds noise, not memory, which does not grow with q.
 Q_MAX_LIMIT = 16
 
 _POWER_TOL = 1e-12
@@ -96,25 +96,23 @@ def _block_entropies(seq: SymbolSequence, q_lo: int, q_hi: int) -> list[float]:
     data = seq.data
     n = len(seq)
     blocks = []
-    # Order-q codes are the Horner packing of each window; order q + 1 reuses
-    # them in place (drop the last code, shift by A, add the next symbol).
+    # Order-q codes rank the windows in lexicographic order and lie below
+    # ``size``.  Order q + 1 extends them in place (drop the last code, shift
+    # by A, add the next symbol); codes that would leave int64 are first
+    # replaced by their ranks among the distinct codes.
     grams = data.copy()
+    size = A
     for q in range(1, q_hi + 1):
-        if q * math.log2(A) > 62:
-            # The code would overflow int64: count whole windows instead.
-            grams = None
-            if q >= q_lo:
-                windows = np.lib.stride_tricks.sliding_window_view(data, q)
-                blocks.append(
-                    _entropy_bits(np.unique(windows, axis=0, return_counts=True)[1], n - q + 1)
-                )
-            continue
         if q > 1:
+            if size * A > 2**63:
+                distinct, grams = np.unique(grams, return_inverse=True)
+                size = distinct.size
             grams = grams[:-1]
             grams *= A
             grams += data[q - 1 :]
+            size *= A
         if q >= q_lo:
-            blocks.append(_entropy_bits(_code_counts(grams, A**q), n - q + 1))
+            blocks.append(_entropy_bits(_code_counts(grams, size), n - q + 1))
     return blocks
 
 
@@ -122,12 +120,13 @@ def empirical_block_entropy(seq: SymbolSequence, q: int) -> float:
     """Entropy (bits) of the empirical distribution of overlapping q-grams.
 
     All n-q+1 windows count, so consecutive orders share their sample
-    positions up to boundary terms.  Each window is packed into one int64
-    code, built from the order-(q-1) codes in one pass per order.  The codes
-    are counted by direct addressing when the A**q possible codes number no
-    more than the windows, so the count table is never larger than the code
-    array; otherwise they are sorted.  Windows with q*log2(A) > 62 would
-    overflow the code and are counted row-wise.
+    positions up to boundary terms.  Each window gets one int64 code that
+    keeps the lexicographic window order, built from the order-(q-1) codes
+    in one pass per order; where the next codes could overflow, the
+    order-(q-1) codes are first renumbered by rank.  The codes are counted
+    by direct addressing when their range is no larger than the number of
+    windows, so the count table is never larger than the code array;
+    otherwise they are sorted.
     """
     n = len(seq)
     if q < 1:
@@ -160,8 +159,9 @@ def entropy_profile(seq: SymbolSequence, q_max: int) -> EntropyProfile:
 
     One block entropy per order 1..q_max+1; the first is h0.  Every order
     costs one pass over the codes of the order below plus one count, by
-    direct addressing or by sorting as :func:`empirical_block_entropy`
-    describes, so the count table is never larger than the code array.
+    direct addressing or by sorting, and a rare renumbering sort where the
+    codes would overflow, as :func:`empirical_block_entropy` describes.
+    Memory stays a few code arrays of length n at every order.
     """
     n = len(seq)
     if q_max < 1:

@@ -363,6 +363,24 @@ class TestWindowing:
         assert [r["source"] for r in reports] == [f"{path}@{i}" for i in range(10)]
         assert "dropped 1 trailing partial window" in err
 
+    def test_units_of_a_directory_run_get_consecutive_seeds(self, tmp_path, capsys):
+        # identical files must not share surrogate permutations
+        text = "0110100110010110" * 8
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("a.txt", "b.txt"):
+            (corpus / name).write_text(text)
+        code, out, _ = run_cli(
+            capsys, "--input", str(corpus), "--surrogates", "2", "--seed", "4"
+        )
+        assert code == 0
+        reports = json_lines(out)
+        assert [r["seed"] for r in reports] == [4, 5]
+        s = SymbolSequence(Alphabet(2), np.array([int(ch) for ch in text]))
+        for r in reports:
+            expected = json.loads(emit_report(analyze(s, q_max=4, surrogates=2, seed=r["seed"])))
+            assert r["rho1_surrogate"] == expected["rho1_surrogate"]
+
     def test_exact_multiple_drops_nothing(self, tmp_path, capsys):
         path = tmp_path / "exact.txt"
         path.write_text("01" * 200)
@@ -515,6 +533,17 @@ class TestConfigErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("target", ["no/such/dir/out.json", "."])
+    def test_unopenable_output_exits_2(self, capsys, tmp_path, target):
+        path = tmp_path / "bits.txt"
+        path.write_text("0110")
+        output = str(tmp_path / target)
+        code, out, err = run_cli(capsys, "--input", str(path), "--output", output)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot open --output {output}:")
+        assert err.count("\n") == 1
 
     def test_missing_input_file_is_unit_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "--input", str(tmp_path / "nope.txt"))

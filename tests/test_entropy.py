@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ class TestBlockEntropy:
                     assert abs(got - gram_entropy_bits(bits, q)) <= 1e-12
 
     def test_wide_alphabet_fallback_path(self):
-        # A**q too large for int64 packing exercises the window counter
+        # A**q too large for int64 codes exercises the renumbering by rank
         rng = np.random.default_rng(33)
         symbols = rng.integers(0, 5000, 64)
         s = seq(symbols, A=5000)
@@ -169,6 +170,19 @@ class TestEntropyProfile:
         assert profile.h0 == empirical_h0(s)
         for i, value in enumerate(profile.hq, start=1):
             assert value == empirical_hq(s, i)
+
+    @pytest.mark.parametrize("A", [16, 300])
+    def test_wide_windows_take_no_copy_per_window(self, A):
+        # Past the int64 code range the codes are renumbered, so memory stays
+        # a few code arrays rather than a copy of every q-symbol window.
+        s = seq(np.random.default_rng(37).integers(0, A, 20_000), A=A)
+        tracemalloc.start()
+        try:
+            entropy_profile(s, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * len(s)
 
     def test_rejects_excessive_q_max(self):
         with pytest.raises(ValueError):

@@ -107,16 +107,26 @@ def _sorted_block_entropy(s, q):
     return float(-(probs * np.log2(probs)).sum())
 
 
-def _counter(A, q, n):
-    if q * math.log2(A) > 62:
-        return "row-wise"
-    return "direct" if A**q <= n - q + 1 else "sort"
+def _counters(s, q_hi):
+    # The counter the profile uses at each order 1..q_hi: codes below
+    # ``size`` are counted directly while size <= n - q + 1 and sorted
+    # otherwise; codes whose extension could leave int64 are renumbered by
+    # rank among the distinct (q-1)-grams first.
+    A, n = s.alphabet.size, len(s)
+    size, labels = A, ["direct" if A <= n else "sort"]
+    for q in range(2, q_hi + 1):
+        renumber = size * A > 2**63
+        if renumber:
+            size = len(np.unique(np.lib.stride_tricks.sliding_window_view(s.data, q - 1), axis=0))
+        size *= A
+        labels.append("renumbered" if renumber else "direct" if size <= n - q + 1 else "sort")
+    return labels
 
 
 @st.composite
 def profile_cases(draw):
     # A = 2 over ~100 symbols counts by direct addressing up to q = 6; wide
-    # alphabets sort, and from q = 8 (A = 300) or q = 16 (A = 16) go row-wise.
+    # alphabets sort, and renumber at q = 8 (A = 300) or q = 16 (A = 16).
     A = draw(st.sampled_from([2, 3, 16, 300]) | st.integers(2, 64))
     used = draw(st.lists(st.integers(0, A - 1), min_size=1, max_size=4, unique=True))
     n = draw(st.integers(2, 120))
@@ -130,14 +140,14 @@ def profile_cases(draw):
 @given(profile_cases())
 @example((SymbolSequence(Alphabet(2), np.arange(100) * 7 // 3 % 2), 5))  # direct addressing
 @example((SymbolSequence(Alphabet(17), np.arange(30) % 17), 3))  # sorting from q = 2
-@example((SymbolSequence(Alphabet(16), np.arange(40) % 5), 16))  # row-wise at q = 16, 17
+@example((SymbolSequence(Alphabet(16), np.arange(40) % 5), 16))  # renumbered at q = 16
+@example((SymbolSequence(Alphabet(300), np.arange(60) * 7 % 300), 16))  # renumbered twice
 def test_entropy_matches_the_sorting_reference_exactly(case):
     s, q_max = case
-    n = len(s)
     blocks = [_sorted_block_entropy(s, q) for q in range(1, q_max + 2)]
     hq = [max(0.0, hi - lo) for lo, hi in zip(blocks, blocks[1:])]
-    for q in range(1, q_max + 2):
-        event(f"counter: {_counter(s.alphabet.size, q, n)}")
+    for q, counter in enumerate(_counters(s, q_max + 1), start=1):
+        event(f"counter: {counter}")
         assert empirical_block_entropy(s, q) == blocks[q - 1]
     for q in range(1, q_max + 1):
         assert empirical_hq(s, q) == hq[q - 1]
