@@ -72,7 +72,9 @@ def h0_bernoulli(p: float) -> float:
 
 def _entropy_bits(counts: np.ndarray, total: int) -> float:
     probs = counts / total
-    return float(-(probs * np.log2(probs)).sum())
+    # 0.0 - sum, not -sum: a single block of probability 1 sums to 0.0, and
+    # its negation would be reported as -0.0.
+    return float(0.0 - (probs * np.log2(probs)).sum())
 
 
 def empirical_h0(seq: SymbolSequence) -> float:
@@ -227,7 +229,7 @@ def stationary_distribution(
 
 def _row_entropy_bits(row: np.ndarray) -> float:
     probs = row[row > 0]
-    return float(-(probs * np.log2(probs)).sum())
+    return float(0.0 - (probs * np.log2(probs)).sum())
 
 
 def analytic_entropy_rate(spec: "ProcessSpec") -> float:

@@ -117,14 +117,21 @@ def rho1_surrogate(l_lzw_bits: float, seq: SymbolSequence, surrogates: int, seed
     """
     if surrogates < 1:
         raise ValueError(f"surrogate count must be at least 1, got {surrogates}")
-    l_shuf = [
-        encode(shuffle(seq, np.random.SeedSequence([seed, k]))).description_length_bits
-        for k in range(1, surrogates + 1)
-    ]
+    lengths = [_surrogate_bits(seq, seed, k) for k in range(1, surrogates + 1)]
+    return _surrogate_ratio(l_lzw_bits, lengths)
+
+
+def _surrogate_bits(seq: SymbolSequence, seed: int, k: int) -> float:
+    """Description length of surrogate k of ``seq`` for unit seed ``seed``."""
+    return encode(shuffle(seq, np.random.SeedSequence([seed, k]))).description_length_bits
+
+
+def _surrogate_ratio(l_lzw_bits: float, lengths: list[float]) -> float:
     # l / (fsum(ls) / k) written as l * k / fsum(ls): when every surrogate
     # equals the original (constant input) both sides round to the same
-    # float and the ratio is exactly 1.0
-    return l_lzw_bits * surrogates / math.fsum(l_shuf)
+    # float and the ratio is exactly 1.0.  fsum is exactly rounded, so the
+    # ratio does not depend on the order in which the lengths were priced.
+    return l_lzw_bits * len(lengths) / math.fsum(lengths)
 
 
 def rho2(h0: float, rho0_value: float) -> float:

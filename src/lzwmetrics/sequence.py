@@ -59,6 +59,13 @@ class SymbolSequence:
     def __len__(self) -> int:
         return int(self.data.size)
 
+    def __reduce__(self) -> tuple:
+        # A pickle carries the symbols in the smallest unsigned type that
+        # holds A - 1 (one byte each up to A = 256), and unpickling rebuilds
+        # the sequence through the validating constructor.
+        compact = self.data.astype(np.min_scalar_type(self.alphabet.size - 1))
+        return SymbolSequence, (self.alphabet, compact)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolSequence):
             return NotImplemented

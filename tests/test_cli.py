@@ -1,9 +1,16 @@
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lzwmetrics
 from lzwmetrics import Alphabet, SymbolSequence, analyze, cli, generate, symmetric_binary_markov
 from lzwmetrics.cli import csv_header, emit_report, main
 
@@ -16,6 +23,29 @@ def run_cli(capsys, *argv):
 
 def json_lines(text):
     return [json.loads(line) for line in text.splitlines() if line]
+
+
+def python_child(code, *argv, **kwargs):
+    """Start ``python -c code argv...`` on the package this process imported."""
+    paths = [str(Path(lzwmetrics.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.Popen([sys.executable, "-c", code, *argv], env=env, **kwargs)
+
+
+def forced_pool(monkeypatch, workers):
+    """Make every run with surrogates start a pool of ``workers`` at once;
+    returns the worker counts of the pools started."""
+    started = []
+    real_pool = cli._fork_pool
+
+    def spy(n):
+        started.append(n)
+        return real_pool(n)
+
+    monkeypatch.setattr(cli, "_POOL_MIN_SYMBOLS", 0)
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    monkeypatch.setattr(cli, "_fork_pool", spy)
+    return started
 
 
 class TestSymbolInput:
@@ -432,6 +462,83 @@ class TestStreaming:
             main([*argv, "--output", str(out_file)])
         assert json_lines(out_file.read_text()) == [first]
 
+    def test_pool_workers_are_reaped_after_a_run_and_after_a_crash(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = tmp_path / "bits.txt"
+        path.write_text("0110" * 75)
+        started = forced_pool(monkeypatch, 2)
+        argv = ["--input", str(path), "--window", "100", "--surrogates", "2", "--qmax", "2"]
+        assert main(argv) == 0
+        assert started == [2]
+        assert multiprocessing.active_children() == []
+        reports = json_lines(capsys.readouterr().out)
+        assert len(reports) == 3
+
+        real_analyze = cli.analyze
+
+        def crash_in_second_unit(*args, **kwargs):
+            if kwargs["seed"] == 1:
+                raise RuntimeError("crash in the second unit")
+            return real_analyze(*args, **kwargs)
+
+        # the workers fork from this process, so they see the patch
+        monkeypatch.setattr(cli, "analyze", crash_in_second_unit)
+        with pytest.raises(RuntimeError, match="crash in the second unit"):
+            main(argv)
+        assert started == [2, 2]
+        assert multiprocessing.active_children() == []
+        assert json_lines(capsys.readouterr().out) == reports[:1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_closed_stdout_ends_the_run_quietly(self, tmp_path, workers):
+        path = tmp_path / "bits.txt"
+        path.write_text("0110" * 50_000)  # 2,000 reports, more than a pipe buffers
+        code = (
+            "import sys\n"
+            "from lzwmetrics import cli\n"
+            f"cli._workers = lambda: {workers}\n"
+            "cli._POOL_MIN_SYMBOLS = 0\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        argv = ["--input", str(path), "--window", "100", "--surrogates", "1", "--qmax", "2"]
+        proc = python_child(code, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert json.loads(proc.stdout.readline())["source"] == f"{path}@0"
+            proc.stdout.close()
+            # stderr reaches end of file only once the workers, which
+            # inherit it, have exited too
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 1
+        assert err == b""
+
+    def test_serial_runs_import_no_pool(self):
+        code = (
+            "import sys\n"
+            "from lzwmetrics import cli\n"
+            "if sys.argv[1] == 'forced':\n"
+            "    cli._workers = lambda: 2\n"
+            "    cli._POOL_MIN_SYMBOLS = 0\n"
+            "cli.main(sys.argv[2:])\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        )
+        runs = {
+            # surrogates off, above the break-even work
+            ("default", "--generate", "markov:eps=0.1,n=1000000", "--surrogates", "0"): "[]",
+            # surrogates on, below it
+            ("default", "--generate", "bernoulli:p=0.5,n=2000", "--surrogates", "10"): "[]",
+            # the control: a pool started
+            ("forced", "--generate", "bernoulli:p=0.5,n=2000", "--surrogates", "10"): (
+                "['concurrent.futures.process', 'multiprocessing']"
+            ),
+        }
+        for argv, expected in runs.items():
+            proc = python_child(code, *argv, stdout=subprocess.PIPE, text=True)
+            out, _ = proc.communicate(timeout=120)
+            assert out.splitlines()[-1] == expected, argv
+
     def test_failure_records_come_in_unit_order(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -448,6 +555,13 @@ class TestStreaming:
 
 
 class TestSerialization:
+    def test_constant_input_reports_h0_as_positive_zero(self, capsys):
+        argv = ["--generate", "constant:symbol=0,n=3000", "--qmax", "2", "--surrogates", "0"]
+        _, out, _ = run_cli(capsys, *argv)
+        assert '"rho2": -0.161245, "h0": 0.0, "hq": [0.0, 0.0],' in out
+        _, out, _ = run_cli(capsys, *argv, "--output-format", "csv")
+        assert ",-0.161245,0,0,0,0,0," in out
+
     def test_json_round_trip_at_six_significant_digits(self):
         s = generate(symmetric_binary_markov(0.2), 5000, 3)
         report = analyze(s, q_max=3, surrogates=4, seed=3)
@@ -580,6 +694,48 @@ class TestDeterminism:
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
         assert out_file.read_text() == first
+
+    @pytest.mark.parametrize("window", [[], ["--window", "60"]])
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_reports_are_identical_for_every_worker_count(
+        self, tmp_path, capsys, monkeypatch, window, output_format
+    ):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rng = np.random.default_rng(55)
+        for name, n in (("a.txt", 250), ("c.txt", 130), ("d.txt", 200)):
+            (corpus / name).write_text("".join(str(b) for b in rng.integers(0, 2, n)))
+        (corpus / "b.txt").write_text("0120")  # fails to load
+        (corpus / "e.txt").write_text("1")  # too short, or a dropped window
+        argv = [
+            "--input", str(corpus), *window, "--surrogates", "3", "--qmax", "3",
+            "--seed", "9", "--output-format", output_format,
+        ]
+        runs = []
+        for workers in (1, 2, 3):
+            started = forced_pool(monkeypatch, workers)
+            out_file = tmp_path / f"reports{workers}"
+            to_stdout = run_cli(capsys, *argv)
+            to_file = run_cli(capsys, *argv, "--output", str(out_file))
+            assert started == ([] if workers == 1 else [workers, workers])
+            runs.append((to_stdout, to_file, out_file.read_text()))
+        assert runs[0] == runs[1] == runs[2]
+
+        (code, out, err), (_, file_out, _), file_text = runs[0]
+        assert code == 1
+        assert file_out == "" and file_text == out
+        records = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        short = [] if window else [str(corpus / "e.txt")]
+        assert [r["source"] for r in records] == [str(corpus / "b.txt"), *short]
+        assert err.endswith("windowing: dropped 4 trailing partial window(s)\n" if window else "}\n")
+        if output_format == "json":
+            # the combined report is the one analyze gives with its surrogates
+            a = corpus / "a.txt"
+            symbols = [int(ch) for ch in a.read_text()]
+            unit = SymbolSequence(Alphabet(2), symbols[:60] if window else symbols)
+            expected = analyze(unit, q_max=3, surrogates=3, seed=9)
+            label = f"{a}@0" if window else str(a)
+            assert out.splitlines()[0] == emit_report(replace(expected, source=label))
 
     def test_output_file_matches_stdout(self, tmp_path, capsys):
         path = tmp_path / "bits.txt"

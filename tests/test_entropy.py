@@ -54,6 +54,17 @@ class TestEmpiricalH0:
     def test_single_symbol(self):
         assert empirical_h0(seq([0, 0, 0, 0])) == 0.0
 
+    def test_certain_outcomes_are_positive_zero(self):
+        # -0.0 == 0.0, so the sign is checked on its own
+        constant = seq([1] * 5)
+        values = [
+            empirical_h0(constant),
+            empirical_block_entropy(constant, 3),
+            *entropy_profile(constant, 2).hq,
+            analytic_entropy_rate(ProcessSpec.markov(np.array([[0.0, 1.0], [1.0, 0.0]]), 2)),
+        ]
+        assert [math.copysign(1.0, v) for v in values] == [1.0] * len(values)
+
     def test_quarter_split(self):
         assert empirical_h0(seq([0, 0, 0, 1])) == pytest.approx(0.81128, abs=5e-6)
 

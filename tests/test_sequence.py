@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,30 @@ class TestTypes:
     def test_numeric_series_rejects_empty(self):
         with pytest.raises(ValueError):
             NumericSeries([])
+
+
+class _TamperedPickle:
+    def __reduce__(self):
+        return SymbolSequence, (Alphabet(2), np.array([0, 2], dtype=np.uint8))
+
+
+class TestPickle:
+    @pytest.mark.parametrize("A", [2, 256, 257, 300])
+    def test_round_trip(self, A):
+        s = seq(np.random.default_rng(A).permutation(np.arange(1000) % A), A=A)
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s
+        assert back.data.dtype == np.int64
+        assert not back.data.flags.writeable
+
+    def test_one_byte_per_symbol_up_to_256_symbols(self):
+        n = 10**5
+        s = seq(np.arange(n) % 256, A=256)
+        assert len(pickle.dumps(s)) < n + 1024
+
+    def test_unpickling_validates_the_symbols(self):
+        with pytest.raises(ValueError, match="symbols must lie in 0..1"):
+            pickle.loads(pickle.dumps(_TamperedPickle()))
 
 
 class TestBinarizeMedian:
