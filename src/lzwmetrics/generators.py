@@ -29,6 +29,13 @@ _MAX_STATES = 65536
 
 _ROW_SUM_TOL = 1e-12
 
+# Markov draws are taken this many at a time.  A chunk lives as Python
+# floats and ints (about 40 B per draw) while its symbols are picked, so
+# memory beyond the output stays under 3 MiB for any n.  Per-chunk overhead
+# (one generator call, one array store) is negligible at this size: chunks
+# of 2^12 to 2^16 drew at the same speed, and 2^18 or more was slower.
+_DRAW_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class ProcessSpec:
@@ -144,7 +151,12 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> SymbolSequence:
     Markov runs start from a composite state drawn from the stationary
     distribution, so the sample is stationary from its first symbol and
     needs no burn-in.  Randomness comes from numpy's ``default_rng``
-    (PCG64) seeded with ``seed``.
+    (PCG64) seeded with ``seed``.  Markov sampling draws its uniforms in
+    fixed-size chunks from that one stream, which yields the same doubles
+    as a single draw of all of them, and writes each chunk's symbols
+    straight into the int64 output; it needs the 8 B/symbol output plus
+    one chunk of draws (under 3 MiB), and the returned sequence's validated
+    copy briefly doubles the output.
     """
     if n < 1:
         raise ValueError(f"sequence length must be at least 1, got {n}")
@@ -169,20 +181,21 @@ def _sample_markov(spec: ProcessSpec, n: int, rng: np.random.Generator) -> np.nd
     pi = stationary_distribution(spec.transition_table, A, m)
     cum_pi = np.cumsum(pi)
     state = min(int(np.searchsorted(cum_pi, rng.random(), side="right")), len(pi) - 1)
-    symbols = [(state // A ** (m - 1 - i)) % A for i in range(m)]
-    if n <= m:
-        return np.array(symbols[:n], dtype=np.int64)
-    cum_rows = np.cumsum(np.asarray(spec.transition_table), axis=1).tolist()
-    draws = rng.random(n - m).tolist()
+    out = np.empty(n, dtype=np.int64)
+    out[: min(n, m)] = [(state // A ** (m - 1 - i)) % A for i in range(m)][:n]
+    # A row without its last cut (the row total, 1.0 up to rounding) maps
+    # every draw to a symbol in 0..A-1; a draw at or past the total lands on
+    # A-1, the symbol a clip of the full row's bisection would give.
+    cuts = np.cumsum(spec.transition_table, axis=1)[:, :-1].tolist()
     keep = A ** (m - 1)
-    last = A - 1
-    append = symbols.append
-    row = cum_rows[state]
-    for u in draws:
-        x = bisect_right(row, u)
-        if x > last:
-            x = last
-        append(x)
-        state = (state % keep) * A + x
-        row = cum_rows[state]
-    return np.array(symbols, dtype=np.int64)
+    shifted = [(s % keep) * A for s in range(len(cuts))]
+    for start in range(m, n, _DRAW_CHUNK):
+        stop = min(start + _DRAW_CHUNK, n)
+        symbols = []
+        append = symbols.append
+        for u in rng.random(stop - start).tolist():
+            x = bisect_right(cuts[state], u)
+            append(x)
+            state = shifted[state] + x
+        out[start:stop] = symbols
+    return out

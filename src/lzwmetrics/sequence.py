@@ -135,11 +135,17 @@ def shuffle(seq: SymbolSequence, seed: int | np.random.SeedSequence) -> SymbolSe
     """Uniformly permute a sequence with a seed-determined generator.
 
     numpy's ``default_rng`` (PCG64 bit generator) runs a Fisher-Yates
-    shuffle directly on a copy of the symbol data, drawing the same swaps
-    it would draw for the index range 0..n-1, so the output equals
-    ``seq.data[default_rng(seed).permutation(n)]`` without building that
-    index array.  Identical (seq, seed) pairs give identical output on
-    every run and platform; length and symbol multiset are exactly
-    preserved.
+    shuffle in place on the new sequence's own validated copy of the
+    symbol data, the one copy this makes.  ``Generator.permutation`` is
+    defined as copy-then-shuffle and draws the same swaps for the data as
+    for the index range 0..n-1, so the output equals
+    ``seq.data[default_rng(seed).permutation(n)]``.  Identical (seq, seed)
+    pairs give identical output on every run and platform; length and
+    symbol multiset are exactly preserved.
     """
-    return SymbolSequence(seq.alphabet, np.random.default_rng(seed).permutation(seq.data))
+    out = SymbolSequence(seq.alphabet, seq.data)
+    data = out.data
+    data.flags.writeable = True
+    np.random.default_rng(seed).shuffle(data)
+    data.flags.writeable = False
+    return out

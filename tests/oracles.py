@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive and independent of the package
 internals: direct position scans, literal dictionary-of-strings searches,
-closed-form parse structure, and dense linear algebra.
+closed-form parse structure, dense linear algebra, and a Markov sampler
+that draws one symbol at a time into a Python list.
 """
 
 import math
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -89,3 +91,25 @@ def stationary_by_eigendecomposition(transition_table, alphabet_size, order):
     k = int(np.argmin(np.abs(eigvals - 1.0)))
     pi = np.real(eigvecs[:, k])
     return pi / pi.sum()
+
+
+def markov_sample(transition_table, alphabet_size, order, stationary, n, rng):
+    """Order-m chain sample drawn one symbol at a time into a Python list.
+
+    The start state takes one ``rng.random()`` against the cumulative
+    ``stationary`` law; every later symbol bisects its state's cumulative
+    row with the next uniform of a single ``rng.random(n - order)`` call,
+    clipped to the last symbol for draws at or past the row's total.
+    """
+    A, m = alphabet_size, order
+    cum_pi = np.cumsum(stationary)
+    state = min(int(np.searchsorted(cum_pi, rng.random(), side="right")), len(cum_pi) - 1)
+    symbols = [(state // A ** (m - 1 - i)) % A for i in range(m)]
+    if n <= m:
+        return np.array(symbols[:n], dtype=np.int64)
+    cum_rows = np.cumsum(np.asarray(transition_table), axis=1).tolist()
+    for u in rng.random(n - m).tolist():
+        x = min(bisect_right(cum_rows[state], u), A - 1)
+        symbols.append(x)
+        state = (state % A ** (m - 1)) * A + x
+    return np.array(symbols, dtype=np.int64)

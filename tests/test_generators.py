@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,27 @@ class TestRandomKinds:
         pi = stationary_distribution(table, 2, 2)
         tv = 0.5 * np.abs(histogram - pi).sum()
         assert tv <= 0.01
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            symmetric_binary_markov(0.1),
+            ProcessSpec.markov(np.random.default_rng(3).dirichlet(np.ones(3), 9), 3),
+        ],
+        ids=["order-1 binary", "order-2 ternary"],
+    )
+    def test_markov_memory_is_the_output_and_one_chunk(self, spec):
+        # Draws come in fixed chunks and symbols go straight into the int64
+        # output, so the peak is the output and its validated copy, not a
+        # Python float and int per symbol.
+        n = 10**6
+        tracemalloc.start()
+        try:
+            generate(spec, n, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * n
 
     def test_short_runs_and_edges(self):
         assert len(generate(symmetric_binary_markov(0.1), 1, 4)) == 1

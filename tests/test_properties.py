@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from lzwmetrics import (
     Q_MAX_LIMIT,
     Alphabet,
+    ProcessSpec,
     SymbolSequence,
     analyze,
     decode,
@@ -25,11 +26,14 @@ from lzwmetrics import (
     empirical_hq,
     encode,
     entropy_profile,
+    generate,
     shuffle,
+    stationary_distribution,
 )
 from lzwmetrics.cli import _load_csv_series, _read_csv_rows, csv_header, emit_report
+from lzwmetrics.generators import _DRAW_CHUNK, _sample_markov
 
-from oracles import footnote_bits, naive_lzw_codes
+from oracles import footnote_bits, markov_sample, naive_lzw_codes
 
 SMALL = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
@@ -162,6 +166,79 @@ def test_shuffle_keeps_the_symbol_multiset(s, seed):
     t = shuffle(s, seed)
     assert t.alphabet == s.alphabet
     assert sorted(t.data.tolist()) == sorted(s.data.tolist())
+
+
+class _Uniforms:
+    """Serves fixed doubles in the order ``Generator.random`` would draw them."""
+
+    def __init__(self, values):
+        self._values = values
+        self._pos = 0
+
+    def random(self, size=None):
+        k = 1 if size is None else size
+        out = self._values[self._pos : self._pos + k]
+        self._pos += k
+        return float(out[0]) if size is None else out
+
+
+@st.composite
+def markov_cases(draw):
+    A = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 3))
+    # Zero entries anywhere but in one anchor column, whose weight keeps every
+    # state reaching the anchor run, so the stationary law is unique.
+    anchor = draw(st.integers(0, A - 1))
+    weights = st.lists(st.integers(0, 3), min_size=A, max_size=A)
+    rows = draw(st.lists(weights, min_size=A**m, max_size=A**m))
+    table = np.array(rows, dtype=np.float64)
+    table[:, anchor] += 3.0
+    table /= table.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        # the clip case: each row's cumulative total ends just below 1.0
+        for row in table:
+            last = np.flatnonzero(row)[-1]
+            while np.cumsum(row)[-1] >= 1.0:
+                row[last] = np.nextafter(row[last], 0.0)
+    C = _DRAW_CHUNK
+    lengths = {
+        "1": 1, "m": m, "m+1": m + 1,
+        "C-1": C - 1, "C": C, "C+1": C + 1, "2C+3": 2 * C + 3,
+    }
+    length = draw(st.sampled_from(list(lengths)))
+    n = lengths[length]
+    seed = draw(st.integers(0, 2**63))
+    return ProcessSpec.markov(table, alphabet_size=A), n, seed, length
+
+
+@SMALL
+@given(markov_cases())
+def test_markov_sampler_matches_the_per_symbol_loop(case):
+    spec, n, seed, length = case
+    A, m, table = spec.alphabet_size, spec.order, spec.transition_table
+    pi = stationary_distribution(table, A, m)
+    expected = markov_sample(table, A, m, pi, n, np.random.default_rng(seed))
+    assert np.array_equal(generate(spec, n, seed).data, expected)
+
+    # The same stream with edge draws spliced in: every row's cut points and
+    # the largest double below 1.0, which lands past a short row's total.
+    totals = np.cumsum(table, axis=1)
+    draws = np.random.default_rng(seed).random(max(n - m, 0) + 1)
+    edges = np.append(totals.ravel(), np.nextafter(1.0, 0.0))
+    spots = np.random.default_rng(seed).integers(0, draws.size, draws.size // 50)
+    draws[spots] = np.resize(edges, spots.size)
+    expected = markov_sample(table, A, m, pi, n, _Uniforms(draws))
+    assert np.array_equal(_sample_markov(spec, n, _Uniforms(draws)), expected)
+
+    event(f"n: {length}")
+    event(f"table rows end below 1.0: {bool((totals[:, -1] < 1.0).any())}")
+    event(f"zero entries: {bool((table == 0).any())}")
+    if n > m:
+        contexts = np.lib.stride_tricks.sliding_window_view(expected[:-1], m)
+        states = contexts @ A ** np.arange(m - 1, -1, -1)
+        clipped = int((draws[1:] >= totals[states, -1]).sum())
+        event(f"draws past the row total: {'yes' if clipped else 'no'}")
+        event(f"draws cross a chunk boundary: {n - m > _DRAW_CHUNK}")
 
 
 @SMALL

@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,7 +168,20 @@ class TestShuffle:
         s = seq(data, A=A)
         for seed in (0, 1, 7, 2**32 - 1, 2**40):
             expected = data[np.random.default_rng(seed).permutation(len(data))]
-            assert np.array_equal(shuffle(s, seed).data, expected)
+            t = shuffle(s, seed)
+            assert np.array_equal(t.data, expected)
+            assert not t.data.flags.writeable
+            assert np.array_equal(s.data, data)
+
+    def test_takes_one_copy_of_the_data(self):
+        s = seq(np.random.default_rng(5).integers(0, 4, 200_000), A=4)
+        tracemalloc.start()
+        try:
+            shuffle(s, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * len(s)
 
     def test_different_seeds_differ(self):
         s = seq(np.arange(200) % 2)
