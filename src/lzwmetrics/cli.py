@@ -15,8 +15,9 @@ inside, so a report is never read back as an input.
 Unit order, and therefore output bytes, are deterministic: paths sort
 lexicographically and windows by index.  Units stream: one input is loaded
 and cut at a time, and reports are written in unit order, each flushed as
-soon as its unit and all earlier ones are done.  Failed units are logged to
-stderr in unit order, and the run continues.  A closed stdout ends the run
+soon as its unit and all earlier ones are done.  Failed units, a
+``MemoryError`` in a unit's load or analysis included, are logged to stderr
+in unit order, and the run continues.  A closed stdout ends the run
 with exit status 1.
 
 Each unit is analyzed as tasks: a base report (parse and entropy profile)
@@ -300,13 +301,14 @@ def _load_symbol_file(path: str, alphabet_size: int) -> SymbolSequence:
         raise _utf8_error(path, exc) from None
     if not text:
         raise ValueError(f"{path}: no symbols found")
-    # One UTF-32 unit per code point; only ASCII '0'..'9' are symbol digits.
-    values = np.frombuffer(text.encode("utf-32-le"), dtype="<u4").astype(np.int64)
-    values -= ord("0")
-    bad = np.flatnonzero((values < 0) | (values >= min(alphabet_size, 10)))
+    # One byte per character: every non-ASCII character becomes "?", which
+    # is no symbol digit either, and the subtraction wraps every character
+    # below "0" past 9.
+    values = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+    bad = np.flatnonzero(values >= min(alphabet_size, 10))
     if bad.size:
         first = int(bad[0])
-        if not 0 <= values[first] <= 9:
+        if values[first] > 9:
             raise ValueError(f"{path}: character {text[first]!r} is not a symbol digit")
         raise ValueError(
             f"{path}: symbol {values[first]} outside alphabet of size {alphabet_size}"
@@ -504,6 +506,14 @@ def _sources(config: RunConfig) -> list[str]:
     return [str(root)]
 
 
+def _unit_error(exc: Exception) -> str:
+    """The failure record's message for an error that fails one unit."""
+    # A MemoryError raised by the interpreter carries no message.
+    if isinstance(exc, MemoryError) and not str(exc):
+        return "out of memory"
+    return str(exc)
+
+
 def _units(
     source: str, config: RunConfig
 ) -> Iterator[tuple[str, SymbolSequence | str | None]]:
@@ -516,8 +526,8 @@ def _units(
     """
     try:
         data = _load(source, config)
-    except (OSError, ValueError) as exc:
-        yield source, str(exc)
+    except (OSError, ValueError, MemoryError) as exc:
+        yield source, _unit_error(exc)
         return
     if config.window_length is None:
         yield source, _to_symbols(data, config)
@@ -676,8 +686,8 @@ def _submit_unit(
 
 def _report_line(label: str, tasks: list[Callable], config: RunConfig) -> str:
     """Combine one unit's task results into its report line, as
-    ``analyze(unit, surrogates=S)`` would report it; raises ValueError if
-    the unit fails."""
+    ``analyze(unit, surrogates=S)`` would report it; raises ValueError or
+    MemoryError if the unit fails."""
     report, *lengths = (get() for get in tasks)
     report = replace(report, source=label)
     if lengths:
@@ -721,8 +731,8 @@ def run(config: RunConfig) -> int:
             if not isinstance(outcome, str):
                 try:
                     line = _report_line(label, outcome, config)
-                except ValueError as exc:
-                    outcome = str(exc)
+                except (ValueError, MemoryError) as exc:
+                    outcome = _unit_error(exc)
                 else:
                     print(line, file=out, flush=True)
                     return

@@ -102,7 +102,7 @@ def _block_entropies(seq: SymbolSequence, q_lo: int, q_hi: int) -> list[float]:
     # ``size``.  Order q + 1 extends them in place (drop the last code, shift
     # by A, add the next symbol); codes that would leave int64 are first
     # replaced by their ranks among the distinct codes.
-    grams = data.copy()
+    grams = data.astype(np.int64)
     size = A
     for q in range(1, q_hi + 1):
         if q > 1:

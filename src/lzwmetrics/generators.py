@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import stationary_distribution
-from .sequence import Alphabet, SymbolSequence
+from .sequence import Alphabet, SymbolSequence, _symbol_dtype
 
 __all__ = [
     "ProcessSpec",
@@ -29,11 +29,11 @@ _MAX_STATES = 65536
 
 _ROW_SUM_TOL = 1e-12
 
-# Markov draws are taken this many at a time.  A chunk lives as Python
-# floats and ints (about 40 B per draw) while its symbols are picked, so
-# memory beyond the output stays under 3 MiB for any n.  Per-chunk overhead
-# (one generator call, one array store) is negligible at this size: chunks
-# of 2^12 to 2^16 drew at the same speed, and 2^18 or more was slower.
+# Random draws are taken this many at a time.  A Markov chunk lives as
+# Python floats and ints (about 40 B per draw) while its symbols are picked,
+# so memory beyond the output stays under 3 MiB for any n.  Per-chunk
+# overhead (one generator call, one array store) is negligible at this size:
+# chunks of 2^12 to 2^16 drew at the same speed, and 2^18 or more was slower.
 _DRAW_CHUNK = 1 << 16
 
 
@@ -151,25 +151,31 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> SymbolSequence:
     Markov runs start from a composite state drawn from the stationary
     distribution, so the sample is stationary from its first symbol and
     needs no burn-in.  Randomness comes from numpy's ``default_rng``
-    (PCG64) seeded with ``seed``.  Markov sampling draws its uniforms in
-    fixed-size chunks from that one stream, which yields the same doubles
-    as a single draw of all of them, and writes each chunk's symbols
-    straight into the int64 output; it needs the 8 B/symbol output plus
-    one chunk of draws (under 3 MiB), and the returned sequence's validated
+    (PCG64) seeded with ``seed``.  Bernoulli and Markov sampling draw their
+    uniforms in fixed-size chunks from that one stream, which yields the
+    same doubles as a single draw of all of them, and write each chunk's
+    symbols straight into an output in the sequence's storage type (one
+    byte per symbol up to A = 256).  Sampling needs that output plus one
+    chunk of draws (under 3 MiB), and the returned sequence's validated
     copy briefly doubles the output.
     """
     if n < 1:
         raise ValueError(f"sequence length must be at least 1, got {n}")
     alphabet = Alphabet(spec.alphabet_size)
+    dtype = _symbol_dtype(spec.alphabet_size)
     if spec.kind == "constant":
-        return SymbolSequence(alphabet, np.full(n, spec.symbol, dtype=np.int64))
+        return SymbolSequence(alphabet, np.full(n, spec.symbol, dtype=dtype))
     if spec.kind == "periodic":
-        pattern = np.array(spec.pattern, dtype=np.int64)
+        pattern = np.array(spec.pattern, dtype=dtype)
         reps = -(-n // pattern.size)
         return SymbolSequence(alphabet, np.tile(pattern, reps)[:n])
     rng = np.random.default_rng(seed)
     if spec.kind == "bernoulli":
-        return SymbolSequence(alphabet, (rng.random(n) < spec.p).astype(np.int64))
+        out = np.empty(n, dtype=np.bool_)
+        for start in range(0, n, _DRAW_CHUNK):
+            stop = min(start + _DRAW_CHUNK, n)
+            np.less(rng.random(stop - start), spec.p, out=out[start:stop])
+        return SymbolSequence(alphabet, out)
     if spec.kind == "markov":
         return SymbolSequence(alphabet, _sample_markov(spec, n, rng))
     raise ValueError(f"unknown process kind: {spec.kind!r}")
@@ -178,15 +184,18 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> SymbolSequence:
 def _sample_markov(spec: ProcessSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     A = spec.alphabet_size
     m = spec.order
-    pi = stationary_distribution(spec.transition_table, A, m)
+    table = spec.transition_table
+    pi = stationary_distribution(table, A, m)
     cum_pi = np.cumsum(pi)
     state = min(int(np.searchsorted(cum_pi, rng.random(), side="right")), len(pi) - 1)
-    out = np.empty(n, dtype=np.int64)
+    out = np.empty(n, dtype=_symbol_dtype(A))
     out[: min(n, m)] = [(state // A ** (m - 1 - i)) % A for i in range(m)][:n]
-    # A row without its last cut (the row total, 1.0 up to rounding) maps
-    # every draw to a symbol in 0..A-1; a draw at or past the total lands on
-    # A-1, the symbol a clip of the full row's bisection would give.
-    cuts = np.cumsum(spec.transition_table, axis=1)[:, :-1].tolist()
+    # Each row bisects its cumulative sums up to, not including, the one at
+    # its last positive entry.  Every draw then maps to a symbol of positive
+    # probability: one at or past the row's total (1.0 up to rounding) lands
+    # on that last entry, not on a zero-probability symbol after it.
+    last = A - 1 - np.argmax(table[:, ::-1] > 0, axis=1)
+    cuts = [row[:k] for row, k in zip(np.cumsum(table, axis=1).tolist(), last.tolist())]
     keep = A ** (m - 1)
     shifted = [(s % keep) * A for s in range(len(cuts))]
     for start in range(m, n, _DRAW_CHUNK):

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .sequence import Alphabet, SymbolSequence
+from .sequence import Alphabet, SymbolSequence, _symbol_dtype
 
 __all__ = [
     "LzwResult",
@@ -102,7 +102,8 @@ def _parse_dense(data: np.ndarray, A: int) -> list[int]:
     grow, row = child.extend, [0] * A
     codes: list[int] = []
     append = codes.append
-    it = iter(data.astype(np.uint8).tobytes())
+    # A <= 16, so the symbols are stored one byte each.
+    it = iter(data.tobytes())
     current = next(it) * A
     next_entry = A * A
     for s in it:
@@ -192,4 +193,4 @@ def decode(codes: Iterable[int], alphabet: Alphabet) -> SymbolSequence:
         entries.append(prev + (entry[0],))
         out.extend(entry)
         prev = entry
-    return SymbolSequence(alphabet, np.array(out, dtype=np.int64))
+    return SymbolSequence(alphabet, np.array(out, dtype=_symbol_dtype(A)))

@@ -35,24 +35,48 @@ class Alphabet:
         object.__setattr__(self, "size", int(self.size))
 
 
+# Symbols stay in the int64 range that bounded them when they were stored as
+# int64, so no alphabet calls for a type beyond uint64.
+_SYMBOL_LIMIT = 2**63
+
+
+def _symbol_dtype(alphabet_size: int) -> np.dtype:
+    """Storage type of a sequence's symbols: the smallest unsigned type that
+    holds A - 1 (uint8 up to A = 256, uint16 up to 65,536)."""
+    return np.min_scalar_type(min(alphabet_size, _SYMBOL_LIMIT) - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class SymbolSequence:
-    """Immutable run of symbol indices drawn from a fixed alphabet."""
+    """Immutable run of symbol indices drawn from a fixed alphabet.
+
+    ``data`` is a read-only array in the smallest unsigned type that holds
+    A - 1: one byte per symbol up to A = 256, two up to A = 65,536.  Its
+    arithmetic wraps in that type, so code that computes with the symbols
+    (sums, q-gram codes) casts them to a wider type first.  The constructor
+    accepts any one-dimensional integer-valued input; integer and bool
+    arrays are checked in their own type, anything else goes through int64
+    as ``np.array(data, dtype=np.int64)`` converts it (floats truncate).
+    The stored array is always the constructor's own copy.
+    """
 
     alphabet: Alphabet
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.int64, copy=True)
+        arr = self.data
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "biu"):
+            arr = np.array(arr, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError("symbol data must be one-dimensional")
         if arr.size == 0:
             raise ValueError("symbol sequence must contain at least one symbol")
-        if int(arr.min()) < 0 or int(arr.max()) >= self.alphabet.size:
+        if int(arr.min()) < 0 or int(arr.max()) >= min(self.alphabet.size, _SYMBOL_LIMIT):
             raise ValueError(
                 f"symbols must lie in 0..{self.alphabet.size - 1} "
                 f"for an alphabet of size {self.alphabet.size}"
             )
+        arr = arr.astype(_symbol_dtype(self.alphabet.size))
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -60,11 +84,10 @@ class SymbolSequence:
         return int(self.data.size)
 
     def __reduce__(self) -> tuple:
-        # A pickle carries the symbols in the smallest unsigned type that
-        # holds A - 1 (one byte each up to A = 256), and unpickling rebuilds
-        # the sequence through the validating constructor.
-        compact = self.data.astype(np.min_scalar_type(self.alphabet.size - 1))
-        return SymbolSequence, (self.alphabet, compact)
+        # A pickle carries the stored symbols as they are (one byte each up to
+        # A = 256), and unpickling rebuilds the sequence through the
+        # validating constructor.
+        return SymbolSequence, (self.alphabet, self.data)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolSequence):
@@ -112,7 +135,7 @@ def binarize_median(series: NumericSeries) -> SymbolSequence:
     the maximal empirical symbol entropy of 1 bit.
     """
     med = float(np.median(series.samples))
-    return SymbolSequence(Alphabet(2), (series.samples > med).astype(np.int64))
+    return SymbolSequence(Alphabet(2), series.samples > med)
 
 
 def digitize_quantiles(series: NumericSeries, levels: int) -> SymbolSequence:
@@ -128,7 +151,7 @@ def digitize_quantiles(series: NumericSeries, levels: int) -> SymbolSequence:
         raise ValueError(f"levels must be at least 2, got {levels}")
     cuts = np.quantile(series.samples, np.arange(1, levels) / levels)
     symbols = np.searchsorted(cuts, series.samples, side="left")
-    return SymbolSequence(Alphabet(levels), symbols.astype(np.int64))
+    return SymbolSequence(Alphabet(levels), symbols)
 
 
 def shuffle(seq: SymbolSequence, seed: int | np.random.SeedSequence) -> SymbolSequence:

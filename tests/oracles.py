@@ -99,7 +99,8 @@ def markov_sample(transition_table, alphabet_size, order, stationary, n, rng):
     The start state takes one ``rng.random()`` against the cumulative
     ``stationary`` law; every later symbol bisects its state's cumulative
     row with the next uniform of a single ``rng.random(n - order)`` call,
-    clipped to the last symbol for draws at or past the row's total.
+    clipped to the row's last symbol of positive probability for draws at
+    or past the row's total.
     """
     A, m = alphabet_size, order
     cum_pi = np.cumsum(stationary)
@@ -108,8 +109,9 @@ def markov_sample(transition_table, alphabet_size, order, stationary, n, rng):
     if n <= m:
         return np.array(symbols[:n], dtype=np.int64)
     cum_rows = np.cumsum(np.asarray(transition_table), axis=1).tolist()
+    last_positive = [max(a for a in range(A) if row[a] > 0) for row in transition_table]
     for u in rng.random(n - m).tolist():
-        x = min(bisect_right(cum_rows[state], u), A - 1)
+        x = min(bisect_right(cum_rows[state], u), last_positive[state])
         symbols.append(x)
         state = (state % A ** (m - 1)) * A + x
     return np.array(symbols, dtype=np.int64)

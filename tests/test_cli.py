@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -115,6 +116,21 @@ class TestSymbolInput:
         code, _, err = run_cli(capsys, "--input", str(path), "--surrogates", "0", "--qmax", "1")
         assert code == 1
         assert json_lines(err)[0]["error"] == f"{path}: byte 0xff at offset 5 is not valid UTF-8"
+
+    def test_loading_takes_a_few_bytes_per_character(self, tmp_path):
+        # the text, one byte per character to check, and the sequence's
+        # one-byte symbols; no int64 or UTF-32 array of the text
+        n = 10**6
+        path = tmp_path / "symbols.txt"
+        path.write_text("".join(map(str, np.random.default_rng(3).integers(0, 4, n))) + "\n")
+        tracemalloc.start()
+        try:
+            s = cli._load_symbol_file(str(path), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s) == n
+        assert peak < 8 * n
 
     def test_wider_alphabet(self, tmp_path, capsys):
         path = tmp_path / "quaternary.txt"
@@ -538,6 +554,53 @@ class TestStreaming:
             proc = python_child(code, *argv, stdout=subprocess.PIPE, text=True)
             out, _ = proc.communicate(timeout=120)
             assert out.splitlines()[-1] == expected, argv
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_unit_out_of_memory_fails_alone(self, tmp_path, capsys, monkeypatch, workers):
+        path = tmp_path / "bits.txt"
+        path.write_text("0110" * 75)
+        argv = ["--input", str(path), "--window", "100", "--surrogates", "1", "--qmax", "2"]
+        clean = json_lines(run_cli(capsys, *argv)[1])
+        if workers > 1:
+            forced_pool(monkeypatch, workers)
+        real_analyze = cli.analyze
+
+        def out_of_memory_in_window_two(*args, **kwargs):
+            if kwargs["seed"] == 1:
+                raise MemoryError
+            return real_analyze(*args, **kwargs)
+
+        # with a pool, the workers fork from this process and see the patch
+        monkeypatch.setattr(cli, "analyze", out_of_memory_in_window_two)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert json_lines(out) == [clean[0], clean[2]]
+        record, dropped = err.splitlines()
+        assert json.loads(record) == {"source": f"{path}@1", "error": "out of memory"}
+        assert dropped == "windowing: dropped 0 trailing partial window(s)"
+
+    def test_an_input_out_of_memory_fails_alone(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("a.txt", "b.txt", "c.txt"):
+            (corpus / name).write_text("0110" * 25)
+        real_load = cli._load_symbol_file
+
+        def out_of_memory_on_b(path, alphabet_size):
+            if path.endswith("b.txt"):
+                raise MemoryError("Unable to allocate 8.00 GiB")
+            return real_load(path, alphabet_size)
+
+        monkeypatch.setattr(cli, "_load_symbol_file", out_of_memory_on_b)
+        code, out, err = run_cli(capsys, "--input", str(corpus), "--surrogates", "0", "--qmax", "1")
+        assert code == 1
+        assert [r["source"] for r in json_lines(out)] == [
+            str(corpus / "a.txt"),
+            str(corpus / "c.txt"),
+        ]
+        assert json_lines(err) == [
+            {"source": str(corpus / "b.txt"), "error": "Unable to allocate 8.00 GiB"}
+        ]
 
     def test_failure_records_come_in_unit_order(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

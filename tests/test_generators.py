@@ -13,6 +13,7 @@ from lzwmetrics import (
     stationary_distribution,
     symmetric_binary_markov,
 )
+from lzwmetrics.generators import _DRAW_CHUNK
 
 
 def seq(symbols, A=2):
@@ -117,9 +118,9 @@ class TestRandomKinds:
         ids=["order-1 binary", "order-2 ternary"],
     )
     def test_markov_memory_is_the_output_and_one_chunk(self, spec):
-        # Draws come in fixed chunks and symbols go straight into the int64
-        # output, so the peak is the output and its validated copy, not a
-        # Python float and int per symbol.
+        # Draws come in fixed chunks and symbols go straight into the
+        # one-byte output, so the peak is the output, its validated copy and
+        # one chunk, not a Python float and int per symbol.
         n = 10**6
         tracemalloc.start()
         try:
@@ -127,7 +128,29 @@ class TestRandomKinds:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20 * n
+        assert peak < 6 * n
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ProcessSpec.bernoulli(0.3), ProcessSpec.periodic([0, 1, 1]), ProcessSpec.constant(1)],
+        ids=["bernoulli", "periodic", "constant"],
+    )
+    def test_other_kinds_build_one_byte_per_symbol(self, spec):
+        n = 10**6
+        tracemalloc.start()
+        try:
+            s = generate(spec, n, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.data.dtype == np.uint8
+        assert peak < 4 * n
+
+    def test_bernoulli_draws_match_one_draw_of_all_uniforms(self):
+        # chunked draws from one PCG64 stream: the same doubles, the same bits
+        n = 3 * _DRAW_CHUNK + 5
+        expected = np.random.default_rng(11).random(n) < 0.3
+        assert np.array_equal(generate(ProcessSpec.bernoulli(0.3), n, 11).data, expected)
 
     def test_short_runs_and_edges(self):
         assert len(generate(symmetric_binary_markov(0.1), 1, 4)) == 1

@@ -182,6 +182,19 @@ class _Uniforms:
         return float(out[0]) if size is None else out
 
 
+def test_markov_draw_past_a_short_row_total_lands_on_a_positive_symbol():
+    # The row sums to 1 - 2^-50, inside the row-sum tolerance; the draw
+    # 1 - 2^-53 lies past its total and must not pick symbol 2, whose
+    # probability is 0.
+    row = [0.7, 0.3 - 2**-50, 0.0]
+    spec = ProcessSpec.markov([row] * 3, alphabet_size=3)
+    pi = stationary_distribution(spec.transition_table, 3, 1)
+    draws = np.array([0.0, 1 - 2**-53])
+    assert _sample_markov(spec, 2, _Uniforms(draws)).tolist() == [0, 1]
+    expected = markov_sample(spec.transition_table, 3, 1, pi, 2, _Uniforms(draws))
+    assert expected.tolist() == [0, 1]
+
+
 @st.composite
 def markov_cases(draw):
     A = draw(st.integers(2, 5))
