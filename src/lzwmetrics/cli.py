@@ -136,7 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--alphabet-size",
         type=int,
-        default=2,
         metavar="A",
         help="alphabet size for symbol-format input (default: 2)",
     )
@@ -250,10 +249,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("--digitizer none requires symbol-format input")
     if args.column is not None and (args.generate is not None or args.format != "csv"):
         raise ConfigError("--column only applies to csv input")
+    if args.alphabet_size is not None and (args.generate is not None or args.format != "symbols"):
+        raise ConfigError("--alphabet-size only applies to symbol-format input")
+    alphabet_size = 2 if args.alphabet_size is None else args.alphabet_size
     if args.window is not None and args.window < 2:
         raise ConfigError(f"--window must be at least 2, got {args.window}")
-    if args.alphabet_size < 2:
-        raise ConfigError(f"--alphabet-size must be at least 2, got {args.alphabet_size}")
+    if alphabet_size < 2:
+        raise ConfigError(f"--alphabet-size must be at least 2, got {alphabet_size}")
     if not 1 <= args.qmax <= Q_MAX_LIMIT:
         raise ConfigError(f"--qmax must lie in 1..{Q_MAX_LIMIT}, got {args.qmax}")
     if args.surrogates < 0:
@@ -271,7 +273,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         column=args.column,
         digitizer=kind,
         digitizer_levels=levels,
-        alphabet_size=args.alphabet_size,
+        alphabet_size=alphabet_size,
         window_length=args.window,
         q_max=args.qmax,
         surrogates=args.surrogates,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import stationary_distribution
+from .entropy import _closed_class, stationary_distribution
 from .sequence import Alphabet, SymbolSequence, _symbol_dtype
 
 __all__ = [
@@ -43,7 +43,9 @@ class ProcessSpec:
 
     ``kind`` selects the family and the matching fields must be set:
     ``bernoulli`` needs ``p``, ``markov`` needs ``order`` and a row-stochastic
-    ``transition_table`` over A**order states by A symbols, ``periodic``
+    ``transition_table`` over A**order states by A symbols whose state chain
+    has exactly one closed class (else :class:`DegenerateProcessError`, as
+    it has no unique stationary law), ``periodic``
     needs ``pattern``, ``constant`` needs ``symbol``.  The classmethod
     constructors fill in the bookkeeping.
     """
@@ -83,6 +85,7 @@ class ProcessSpec:
             sums = table.sum(axis=1)
             if np.abs(sums - 1.0).max() > _ROW_SUM_TOL:
                 raise ValueError("transition rows must each sum to 1")
+            _closed_class(table, A, self.order)
             table.flags.writeable = False
             object.__setattr__(self, "transition_table", table)
         elif self.kind == "periodic":
@@ -137,7 +140,9 @@ def symmetric_binary_markov(flip_probability: float) -> ProcessSpec:
 
     The stationary distribution is uniform by symmetry, so the entropy rate
     is exactly the binary entropy of the flip probability while the marginal
-    symbol entropy stays at 1 bit.
+    symbol entropy stays at 1 bit.  A flip probability of 0 is rejected with
+    :class:`DegenerateProcessError`: each symbol then repeats forever, and
+    the chain has no unique stationary distribution.
     """
     eps = float(flip_probability)
     if not 0.0 <= eps <= 1.0:

@@ -130,11 +130,15 @@ def binarize_median(series: NumericSeries) -> SymbolSequence:
 
     Samples strictly above the median map to 1, everything else (including
     exact ties) to 0.  The median is the midpoint of the sorted samples
-    (mean of the two central order statistics for even lengths), so an even
-    number of distinct samples splits exactly 50/50 and the output attains
-    the maximal empirical symbol entropy of 1 bit.
+    (halfway between the two central order statistics for even lengths), so
+    an even number of distinct samples splits exactly 50/50 and the output
+    attains the maximal empirical symbol entropy of 1 bit.  It is taken as
+    the 0.5 quantile, as :func:`digitize_quantiles` takes it: numpy steps
+    from one central sample by half the gap to the other instead of adding
+    the two, so same-sign samples near the float64 limit, whose sum would
+    overflow, still split at their midpoint.
     """
-    med = float(np.median(series.samples))
+    med = np.quantile(series.samples, 0.5)
     return SymbolSequence(Alphabet(2), series.samples > med)
 
 

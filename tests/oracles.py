@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and independent of the package
 internals: direct position scans, literal dictionary-of-strings searches,
-closed-form parse structure, dense linear algebra, and a Markov sampler
+closed-form parse structure, dense linear algebra, a dense transitive
+closure for the closed classes of a Markov chain, and a Markov sampler
 that draws one symbol at a time into a Python list.
 """
 
@@ -91,6 +92,36 @@ def stationary_by_eigendecomposition(transition_table, alphabet_size, order):
     k = int(np.argmin(np.abs(eigvals - 1.0)))
     pi = np.real(eigvecs[:, k])
     return pi / pi.sum()
+
+
+def closed_classes(transition_table, alphabet_size, order):
+    """Closed communicating classes of the composite-state chain, as sorted tuples.
+
+    A dense boolean transitive closure, squared until it stops growing:
+    ``reach[s, t]`` says t follows s in zero or more steps of positive
+    probability.  A state lies in a closed class when every state it reaches
+    reaches it back, and that class is everything it reaches.
+    """
+    table = np.asarray(transition_table)
+    n_states = alphabet_size**order
+    keep = alphabet_size ** (order - 1)
+    reach = np.eye(n_states, dtype=bool)
+    for s in range(n_states):
+        for a in range(alphabet_size):
+            if table[s, a] > 0:
+                reach[s, (s % keep) * alphabet_size + a] = True
+    while True:
+        wider = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if (wider == reach).all():
+            break
+        reach = wider
+    return sorted(
+        {
+            tuple(np.flatnonzero(reach[s]).tolist())
+            for s in range(n_states)
+            if (reach[:, s] | ~reach[s]).all()
+        }
+    )
 
 
 def markov_sample(transition_table, alphabet_size, order, stationary, n, rng):

@@ -203,6 +203,27 @@ class TestGeneratorInput:
         assert code == 0
         assert json_lines(out)[0]["n"] == 100
 
+    def test_small_flip_probability_runs(self, capsys):
+        code, out, err = run_cli(
+            capsys, "--generate", "markov:eps=0.00001,n=1000", "--surrogates", "0"
+        )
+        assert (code, err) == (0, "")
+        assert json_lines(out)[0]["n"] == 1000
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    @pytest.mark.parametrize("kind", ["markov", "markov-file"])
+    def test_chain_without_a_unique_law_is_config_error(
+        self, tmp_path, capsys, kind, output_format
+    ):
+        table = tmp_path / "two-classes.csv"
+        table.write_text("1,0,0\n0,0.5,0.5\n0,0.5,0.5\n")
+        spec = "markov:eps=0,n=100" if kind == "markov" else f"markov-file:{table},n=100"
+        code, out, err = run_cli(capsys, "--generate", spec, "--output-format", output_format)
+        assert (code, out) == (2, "")
+        # one configuration error line, no unit failure record
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "not unique" in err
+
     def test_bad_generator_spec_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "--generate", "bernoulli:p=0.5")
         assert code == 2
@@ -223,6 +244,15 @@ class TestCsvInput:
             row[column] = repr(float(v))
             lines.append(",".join(row))
         path.write_text("\n".join(lines) + "\n")
+
+    def test_median_of_huge_samples(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        self.make_csv(path, [1e308, 1.5e308, 1.2e308, 1.7e308])
+        argv = ["--format", "csv", "--surrogates", "0", "--qmax", "1"]
+        code, out, err = run_cli(capsys, "--input", str(path), *argv)
+        assert (code, err) == (0, "")
+        # 0,1,0,1: two distinct bigrams, so c = 3 phrases (0, 1, 01)
+        assert json_lines(out)[0]["c"] == 3
 
     def test_median_binarization_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "signal.csv"
@@ -703,6 +733,8 @@ class TestConfigErrors:
             ("--input", "x", "--format", "csv", "--digitizer", "quantiles:1"),
             ("--input", "x", "--seed", "-1"),
             ("--input", "x", "--output", "x"),
+            ("--generate", "bernoulli:p=0.5,n=2000", "--alphabet-size", "7"),
+            ("--input", "x", "--format", "csv", "--alphabet-size", "9"),
         ],
     )
     def test_contradictions_exit_2(self, capsys, argv):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,12 +22,32 @@ from lzwmetrics import (
     stationary_distribution,
     symmetric_binary_markov,
 )
+from lzwmetrics import entropy
 
 from oracles import gram_entropy_bits, stationary_by_eigendecomposition
 
 
 def seq(symbols, A=2):
     return SymbolSequence(Alphabet(A), np.array(symbols, dtype=np.int64))
+
+
+def de_bruijn_bits(m):
+    """A binary de Bruijn cycle of order m: every m-bit word once, cyclically.
+
+    Prefer-one construction: from m zeros, append 1 unless the last m bits
+    would repeat a word already seen, else 0.  The first 2**m bits, read
+    cyclically, hold every word.
+    """
+    bits = [0] * m
+    seen = {tuple(bits)}
+    while len(bits) < 2**m + m - 1:
+        for bit in (1, 0):
+            word = tuple(bits[len(bits) - m + 1 :] + [bit])
+            if word not in seen:
+                seen.add(word)
+                bits.append(bit)
+                break
+    return np.array(bits[: 2**m])
 
 
 class TestH0Bernoulli:
@@ -222,6 +243,51 @@ class TestStationaryDistribution:
     def test_reducible_chain_is_degenerate(self):
         with pytest.raises(DegenerateProcessError):
             stationary_distribution([[1.0, 0.0], [0.0, 1.0]], 2, 1)
+
+    def test_two_closed_classes_are_degenerate(self):
+        table = [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]
+        with pytest.raises(DegenerateProcessError, match="not unique"):
+            stationary_distribution(table, 3, 1)
+
+    def test_transient_state_gets_exactly_zero(self):
+        # state 0 leaves for good; on {1, 2}, pi_1 * 0.6 = pi_2 * 0.7
+        table = [[0.2, 0.3, 0.5], [0.0, 0.4, 0.6], [0.0, 0.7, 0.3]]
+        pi = stationary_distribution(table, 3, 1)
+        assert pi[0] == 0.0
+        assert pi == pytest.approx([0.0, 7 / 13, 6 / 13], abs=1e-12)
+
+    def test_slow_escape_from_a_transient_state(self):
+        # the escape takes 1e9 steps on average; the closed class is found
+        # from the support graph, not by waiting for the mass to leave
+        table = [[1 - 1e-9, 1e-9, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]
+        pi = stationary_distribution(table, 3, 1)
+        assert pi[0] == 0.0
+        assert pi == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
+
+    def test_de_bruijn_cycle_is_uniform(self):
+        # A deterministic cycle through all 4096 binary order-12 contexts:
+        # irreducible and periodic, with the uniform law.
+        m = 12
+        cycle = de_bruijn_bits(m)
+        table = np.zeros((2**m, 2))
+        for i in range(2**m):
+            state = int("".join(map(str, np.roll(cycle, -i)[:m])), 2)
+            table[state, cycle[(i + m) % 2**m]] = 1.0
+        start = time.process_time()
+        pi = stationary_distribution(table, 2, m)
+        assert time.process_time() - start < 1.0
+        assert (pi == 2.0**-m).all()
+
+    def test_non_convergence_names_the_state_count_and_the_cap(self, monkeypatch):
+        monkeypatch.setattr(entropy, "_POWER_MAX_ITERS", 3)
+        with pytest.raises(DegenerateProcessError, match="on 2 states in 3 steps"):
+            stationary_distribution([[0.9, 0.1], [0.2, 0.8]], 2, 1)
+
+    @pytest.mark.parametrize("eps", [10.0**-k for k in range(1, 10)])
+    def test_small_flip_probabilities(self, eps):
+        spec = symmetric_binary_markov(eps)
+        assert analytic_entropy_rate(spec) == pytest.approx(h0_bernoulli(eps), abs=1e-12)
+        assert len(generate(spec, 1000, 0)) == 1000
 
 
 class TestAnalyticEntropyRate:

@@ -5,6 +5,7 @@ import pytest
 
 from lzwmetrics import (
     Alphabet,
+    DegenerateProcessError,
     ProcessSpec,
     SymbolSequence,
     analytic_entropy_rate,
@@ -45,6 +46,25 @@ class TestProcessSpecValidation:
                 order=17,
                 transition_table=np.full((2**17, 2), 0.5),
             )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: symmetric_binary_markov(0.0),
+            lambda: ProcessSpec.markov(np.eye(3), alphabet_size=3),
+            lambda: ProcessSpec.markov(
+                [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]], alphabet_size=3
+            ),
+        ],
+        ids=["eps-0", "identity", "two-classes"],
+    )
+    def test_markov_without_a_unique_law_fails_at_construction(self, build):
+        with pytest.raises(DegenerateProcessError, match="not unique"):
+            build()
+
+    def test_markov_with_a_transient_state_is_valid(self):
+        spec = ProcessSpec.markov([[0.5, 0.5], [0.0, 1.0]])
+        assert generate(spec, 100, 0).data.tolist() == [1] * 100
 
     def test_periodic_pattern_symbols_in_range(self):
         with pytest.raises(ValueError):

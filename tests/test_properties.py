@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from lzwmetrics import (
     Q_MAX_LIMIT,
     Alphabet,
+    DegenerateProcessError,
     ProcessSpec,
     SymbolSequence,
     analyze,
@@ -33,7 +34,13 @@ from lzwmetrics import (
 from lzwmetrics.cli import _load_csv_series, _read_csv_rows, csv_header, emit_report
 from lzwmetrics.generators import _DRAW_CHUNK, _sample_markov
 
-from oracles import footnote_bits, markov_sample, naive_lzw_codes
+from oracles import (
+    closed_classes,
+    footnote_bits,
+    markov_sample,
+    naive_lzw_codes,
+    stationary_by_eigendecomposition,
+)
 
 SMALL = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
@@ -252,6 +259,44 @@ def test_markov_sampler_matches_the_per_symbol_loop(case):
         clipped = int((draws[1:] >= totals[states, -1]).sum())
         event(f"draws past the row total: {'yes' if clipped else 'no'}")
         event(f"draws cross a chunk boundary: {n - m > _DRAW_CHUNK}")
+
+
+@st.composite
+def support_tables(draw):
+    # Row-stochastic tables whose zero share varies per table (1/4 to 7/10
+    # of the weights), so irreducible, transient, periodic and multi-class
+    # chains all occur.  A row of zero weights gets one drawn symbol.
+    A = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 3))
+    zeros = draw(st.integers(0, 6))
+    weight = st.integers(-zeros, 3).map(lambda w: max(w, 0))
+    rows = st.lists(st.lists(weight, min_size=A, max_size=A), min_size=A**m, max_size=A**m)
+    table = np.array(draw(rows), dtype=np.float64)
+    for row in table:
+        if not row.any():
+            row[draw(st.integers(0, A - 1))] = 1.0
+    return table / table.sum(axis=1, keepdims=True), A, m
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(support_tables())
+def test_stationary_law_is_unique_exactly_when_one_class_is_closed(case):
+    table, A, m = case
+    classes = closed_classes(table, A, m)
+    event(f"closed classes: {min(len(classes), 3)}")
+    event(f"transient states: {A**m > sum(map(len, classes))}")
+    if len(classes) > 1:
+        with pytest.raises(DegenerateProcessError, match="not unique"):
+            stationary_distribution(table, A, m)
+        with pytest.raises(DegenerateProcessError):
+            ProcessSpec.markov(table, alphabet_size=A)
+        return
+    pi = stationary_distribution(table, A, m)
+    ProcessSpec.markov(table, alphabet_size=A)
+    assert np.abs(pi - stationary_by_eigendecomposition(table, A, m)).max() <= 1e-9
+    outside = np.ones(A**m, dtype=bool)
+    outside[list(classes[0])] = False
+    assert (pi[outside] == 0.0).all()
 
 
 @SMALL

@@ -146,6 +146,12 @@ class TestBinarizeMedian:
             out = binarize_median(NumericSeries(samples))
             assert int(out.data.sum()) == n // 2
 
+    def test_samples_whose_sum_overflows(self):
+        out = binarize_median(NumericSeries([1e308, 1.5e308, 1.2e308, 1.7e308]))
+        assert out == seq([0, 1, 0, 1])
+        out = binarize_median(NumericSeries([-1e308, -1.5e308, -1.2e308, -1.7e308]))
+        assert out == seq([1, 0, 1, 0])
+
     def test_odd_distinct_samples_split_off_by_one(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
@@ -158,9 +164,15 @@ class TestBinarizeMedian:
 class TestDigitizeQuantiles:
     def test_two_levels_match_median_rule(self):
         rng = np.random.default_rng(13)
+        huge = np.finfo(np.float64).max
         for _ in range(50):
-            series = NumericSeries(rng.normal(size=int(rng.integers(1, 300))))
-            assert digitize_quantiles(series, 2) == binarize_median(series)
+            size = int(rng.integers(1, 300))
+            ordinary = rng.normal(size=size)
+            # same-sign draws near the float64 limit: two of them sum to inf
+            near_limit = rng.choice([-1, 1]) * rng.uniform(0.5, 1, size) * huge
+            for samples in (ordinary, near_limit):
+                series = NumericSeries(samples)
+                assert digitize_quantiles(series, 2) == binarize_median(series)
 
     def test_quartiles_hand_example(self):
         series = NumericSeries([10, 20, 30, 40, 50, 60, 70, 80])
