@@ -38,7 +38,12 @@ __all__ = [
 # limit bounds noise, not memory, which does not grow with q.
 Q_MAX_LIMIT = 16
 
-_POWER_TOL = 1e-12
+# The damped step stops once it moves pi by at most this much in L1, a few
+# units of float64 rounding on a unit-mass vector.  A chain that has not
+# mixed still moves pi by about its spectral gap times the distance left,
+# so a slow chain runs into the cap instead of stopping early; only a gap
+# near 1e-15 per step could hide a sizable error below this step.
+_POWER_TOL = 1e-15
 _POWER_MAX_ITERS = 10**6
 
 
@@ -229,15 +234,21 @@ def stationary_distribution(
     (averaging each iterate with its successor keeps the fixed points and
     suppresses periodic oscillation) then starts from the uniform law on
     that class.  No mass leaves the class, so transient states get exactly
-    0.  An iteration that does not reach an L1 step of 1e-12 within 10**6
-    steps also raises :class:`DegenerateProcessError`.
+    0.  The iteration stops at an L1 step of 1e-15, near float64 rounding,
+    so a chain that mixes too slowly to settle within 10**6 steps raises
+    :class:`DegenerateProcessError` instead of returning a law it has not
+    reached.
     """
-    A = alphabet_size
     table = np.asarray(transition_table, dtype=np.float64)
-    n_states = A**order
-    if table.shape != (n_states, A):
-        raise ValueError(f"transition table must have shape {(n_states, A)}, got {table.shape}")
-    closed = _closed_class(table, A, order)
+    shape = (alphabet_size**order, alphabet_size)
+    if table.shape != shape:
+        raise ValueError(f"transition table must have shape {shape}, got {table.shape}")
+    return _power_iteration(table, _closed_class(table, alphabet_size, order))
+
+
+def _power_iteration(table: np.ndarray, closed: np.ndarray) -> np.ndarray:
+    """:func:`stationary_distribution` given the mask of the closed class."""
+    n_states, A = table.shape
     pi = closed / np.count_nonzero(closed)
     targets = ((np.arange(n_states) % (n_states // A))[:, None] * A + np.arange(A)).ravel()
     for _ in range(_POWER_MAX_ITERS):
@@ -264,9 +275,8 @@ def analytic_entropy_rate(spec: "ProcessSpec") -> float:
     if kind == "bernoulli":
         return h0_bernoulli(spec.p)
     if kind == "markov":
-        pi = stationary_distribution(spec.transition_table, spec.alphabet_size, spec.order)
         row_h = np.array([_entropy_bits(row[row > 0], 1) for row in spec.transition_table])
-        return float(pi @ row_h)
+        return float(_power_iteration(spec.transition_table, spec._closed) @ row_h)
     if kind in ("periodic", "constant"):
         return 0.0
     raise ValueError(f"unknown process kind: {kind!r}")

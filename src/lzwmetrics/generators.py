@@ -10,11 +10,11 @@ all.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _closed_class, stationary_distribution
+from .entropy import _closed_class, _power_iteration
 from .sequence import Alphabet, SymbolSequence, _symbol_dtype
 
 __all__ = [
@@ -57,6 +57,9 @@ class ProcessSpec:
     transition_table: np.ndarray | None = None
     pattern: tuple[int, ...] | None = None
     symbol: int | None = None
+    # Mask of the closed class of a Markov spec's state chain, found once
+    # here and passed on to every stationary-law computation.
+    _closed: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         A = self.alphabet_size
@@ -85,9 +88,10 @@ class ProcessSpec:
             sums = table.sum(axis=1)
             if np.abs(sums - 1.0).max() > _ROW_SUM_TOL:
                 raise ValueError("transition rows must each sum to 1")
-            _closed_class(table, A, self.order)
-            table.flags.writeable = False
+            closed = _closed_class(table, A, self.order)
+            table.flags.writeable = closed.flags.writeable = False
             object.__setattr__(self, "transition_table", table)
+            object.__setattr__(self, "_closed", closed)
         elif self.kind == "periodic":
             if not self.pattern:
                 raise ValueError("periodic pattern must be non-empty")
@@ -190,7 +194,7 @@ def _sample_markov(spec: ProcessSpec, n: int, rng: np.random.Generator) -> np.nd
     A = spec.alphabet_size
     m = spec.order
     table = spec.transition_table
-    pi = stationary_distribution(table, A, m)
+    pi = _power_iteration(table, spec._closed)
     cum_pi = np.cumsum(pi)
     state = min(int(np.searchsorted(cum_pi, rng.random(), side="right")), len(pi) - 1)
     out = np.empty(n, dtype=_symbol_dtype(A))

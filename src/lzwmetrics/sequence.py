@@ -9,6 +9,7 @@ points generalize the same idea to larger alphabets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +126,20 @@ class NumericSeries:
         return int(self.samples.size)
 
 
+def _quantiles(samples: np.ndarray, probs):
+    """``np.quantile``'s linear cut points, also across more than the float64 range.
+
+    The interpolation subtracts one order statistic from the next, which
+    overflows across such a span.  The cuts are then taken on the halved
+    samples and doubled: halving is exact down to magnitudes of 2**-1021,
+    so only cuts between two samples smaller than that can move, by one
+    unit in the last place.
+    """
+    if math.isinf(float(samples.max()) - float(samples.min())):
+        return np.quantile(samples / 2, probs) * 2
+    return np.quantile(samples, probs)
+
+
 def binarize_median(series: NumericSeries) -> SymbolSequence:
     """Binarize a numeric series at its median.
 
@@ -132,13 +147,11 @@ def binarize_median(series: NumericSeries) -> SymbolSequence:
     exact ties) to 0.  The median is the midpoint of the sorted samples
     (halfway between the two central order statistics for even lengths), so
     an even number of distinct samples splits exactly 50/50 and the output
-    attains the maximal empirical symbol entropy of 1 bit.  It is taken as
-    the 0.5 quantile, as :func:`digitize_quantiles` takes it: numpy steps
-    from one central sample by half the gap to the other instead of adding
-    the two, so same-sign samples near the float64 limit, whose sum would
-    overflow, still split at their midpoint.
+    attains the maximal empirical symbol entropy of 1 bit.  It is the 0.5
+    cut point of :func:`digitize_quantiles`, which interpolates without
+    overflow for samples near the float64 limit of either sign.
     """
-    med = np.quantile(series.samples, 0.5)
+    med = _quantiles(series.samples, 0.5)
     return SymbolSequence(Alphabet(2), series.samples > med)
 
 
@@ -146,14 +159,16 @@ def digitize_quantiles(series: NumericSeries, levels: int) -> SymbolSequence:
     """Discretize a numeric series into ``levels`` near-equally-populated bins.
 
     Cut points are the k/levels empirical quantiles for k = 1..levels-1
-    (linear interpolation between order statistics).  A sample's symbol is
-    the number of cut points strictly below it, i.e. bin k covers the
-    half-open interval (q_k, q_{k+1}] and the lowest bin is closed below.
+    (linear interpolation between order statistics, as ``np.quantile``
+    takes them, also where the samples span more than the float64 range).
+    A sample's symbol is the number of cut points strictly below it, i.e.
+    bin k covers the half-open interval (q_k, q_{k+1}] and the lowest bin
+    is closed below.
     ``levels=2`` reproduces :func:`binarize_median`.
     """
     if levels < 2:
         raise ValueError(f"levels must be at least 2, got {levels}")
-    cuts = np.quantile(series.samples, np.arange(1, levels) / levels)
+    cuts = _quantiles(series.samples, np.arange(1, levels) / levels)
     symbols = np.searchsorted(cuts, series.samples, side="left")
     return SymbolSequence(Alphabet(levels), symbols)
 

@@ -245,9 +245,14 @@ class TestCsvInput:
             lines.append(",".join(row))
         path.write_text("\n".join(lines) + "\n")
 
-    def test_median_of_huge_samples(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "values",
+        [[1e308, 1.5e308, 1.2e308, 1.7e308], [-1.5e308, 1e308, -1.2e308, 1.7e308]],
+        ids=["same-sign", "mixed-signs"],
+    )
+    def test_median_of_huge_samples(self, tmp_path, capsys, values):
         path = tmp_path / "huge.csv"
-        self.make_csv(path, [1e308, 1.5e308, 1.2e308, 1.7e308])
+        self.make_csv(path, values)
         argv = ["--format", "csv", "--surrogates", "0", "--qmax", "1"]
         code, out, err = run_cli(capsys, "--input", str(path), *argv)
         assert (code, err) == (0, "")

@@ -283,6 +283,31 @@ class TestStationaryDistribution:
         with pytest.raises(DegenerateProcessError, match="on 2 states in 3 steps"):
             stationary_distribution([[0.9, 0.1], [0.2, 0.8]], 2, 1)
 
+    def test_slowly_mixing_chain_is_not_returned_early(self, monkeypatch):
+        # From the uniform start the first step moves pi by only 1e-13, yet
+        # the law is [0.75, 0.25]; the drift stays near 1e-13 per step for
+        # about 1e12 steps, so a lower cap ends the same way, only sooner.
+        monkeypatch.setattr(entropy, "_POWER_MAX_ITERS", 10**4)
+        table = [[1 - 1e-13, 1e-13], [3e-13, 1 - 3e-13]]
+        spec = ProcessSpec.markov(table)
+        rate = 0.75 * h0_bernoulli(1e-13) + 0.25 * h0_bernoulli(3e-13)
+        for solve, exact in (
+            (lambda: stationary_distribution(table, 2, 1), [0.75, 0.25]),
+            (lambda: analytic_entropy_rate(spec), rate),
+        ):
+            try:
+                got = solve()
+            except DegenerateProcessError as err:
+                assert "did not converge" in str(err)
+            else:
+                assert got == pytest.approx(exact, rel=1e-9)
+
+    def test_asymmetric_slow_flips_settle_on_the_law(self):
+        # gap 1.5e-3: stopping at an L1 step of 1e-12 would leave pi about
+        # 7e-10 short of [2/3, 1/3]
+        pi = stationary_distribution([[1 - 1e-3, 1e-3], [2e-3, 1 - 2e-3]], 2, 1)
+        assert pi == pytest.approx([2 / 3, 1 / 3], abs=1e-11)
+
     @pytest.mark.parametrize("eps", [10.0**-k for k in range(1, 10)])
     def test_small_flip_probabilities(self, eps):
         spec = symmetric_binary_markov(eps)

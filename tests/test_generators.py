@@ -62,6 +62,23 @@ class TestProcessSpecValidation:
         with pytest.raises(DegenerateProcessError, match="not unique"):
             build()
 
+    def test_closed_class_is_found_once_per_spec(self, monkeypatch):
+        from lzwmetrics import entropy, generators
+
+        calls, search = [], entropy._closed_class
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(generators, "_closed_class", counted)
+        monkeypatch.setattr(entropy, "_closed_class", counted)
+        spec = ProcessSpec.markov(np.full((16, 2), 0.5))
+        generate(spec, 100, 0)
+        generate(spec, 100, 1)
+        analytic_entropy_rate(spec)
+        assert len(calls) == 1
+
     def test_markov_with_a_transient_state_is_valid(self):
         spec = ProcessSpec.markov([[0.5, 0.5], [0.0, 1.0]])
         assert generate(spec, 100, 0).data.tolist() == [1] * 100

@@ -152,6 +152,11 @@ class TestBinarizeMedian:
         out = binarize_median(NumericSeries([-1e308, -1.5e308, -1.2e308, -1.7e308]))
         assert out == seq([1, 0, 1, 0])
 
+    def test_samples_whose_difference_overflows(self):
+        assert binarize_median(NumericSeries([1.7e308, -1.7e308])) == seq([1, 0])
+        out = binarize_median(NumericSeries([-1e308, 1.5e308, -1.2e308, 1.7e308, 0.0]))
+        assert out == seq([0, 1, 0, 1, 0])
+
     def test_odd_distinct_samples_split_off_by_one(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
@@ -168,11 +173,23 @@ class TestDigitizeQuantiles:
         for _ in range(50):
             size = int(rng.integers(1, 300))
             ordinary = rng.normal(size=size)
-            # same-sign draws near the float64 limit: two of them sum to inf
-            near_limit = rng.choice([-1, 1]) * rng.uniform(0.5, 1, size) * huge
-            for samples in (ordinary, near_limit):
+            # draws near the float64 limit: two of one sign sum to inf, and
+            # two of opposite signs differ by inf
+            magnitudes = rng.uniform(0.5, 1, size) * huge
+            same_sign = rng.choice([-1, 1]) * magnitudes
+            mixed_signs = rng.choice([-1, 1], size) * magnitudes
+            for samples in (ordinary, same_sign, mixed_signs):
                 series = NumericSeries(samples)
-                assert digitize_quantiles(series, 2) == binarize_median(series)
+                out = binarize_median(series)
+                assert digitize_quantiles(series, 2) == out
+                # distinct samples: all above the middle one(s) map to 1
+                assert int(out.data.sum()) == size // 2
+
+    def test_cut_points_across_the_float64_range(self):
+        # each cut sits on a sample, but numpy still interpolates toward
+        # the next one, across a difference of 3.2e308
+        series = NumericSeries([1.7e308, -1.6e308, 1.6e308, -1.7e308])
+        assert digitize_quantiles(series, 3) == seq([2, 0, 1, 0], A=3)
 
     def test_quartiles_hand_example(self):
         series = NumericSeries([10, 20, 30, 40, 50, 60, 70, 80])
