@@ -29,11 +29,13 @@ _MAX_STATES = 65536
 
 _ROW_SUM_TOL = 1e-12
 
-# Random draws are taken this many at a time.  A Markov chunk lives as
-# Python floats and ints (about 40 B per draw) while its symbols are picked,
-# so memory beyond the output stays under 3 MiB for any n.  Per-chunk
-# overhead (one generator call, one array store) is negligible at this size:
-# chunks of 2^12 to 2^16 drew at the same speed, and 2^18 or more was slower.
+# Random draws are taken this many at a time.  A Markov chunk over more than
+# two states lives as Python floats and ints (about 40 B per draw) while its
+# symbols are picked, a two-state chunk as numpy arrays (about 22 B per draw:
+# the doubles, one int64 index, a few bool masks), so memory beyond the
+# output stays under 3 MiB for any n.  Per-chunk overhead (one generator
+# call, one array store) is negligible at this size: chunks of 2^12 to 2^16
+# drew at the same speed in the per-symbol loop, and 2^18 or more was slower.
 _DRAW_CHUNK = 1 << 16
 
 
@@ -164,9 +166,12 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> SymbolSequence:
     uniforms in fixed-size chunks from that one stream, which yields the
     same doubles as a single draw of all of them, and write each chunk's
     symbols straight into an output in the sequence's storage type (one
-    byte per symbol up to A = 256).  Sampling needs that output plus one
-    chunk of draws (under 3 MiB), and the returned sequence's validated
-    copy briefly doubles the output.
+    byte per symbol up to A = 256).  A chain with two states (binary,
+    order 1, as every ``markov:eps`` spec) picks a chunk's symbols with a
+    few numpy passes; larger chains pick them one draw at a time.  Both
+    give the symbols of the one-draw-at-a-time rule.  Sampling needs that
+    output plus one chunk of draws (under 3 MiB), and the returned
+    sequence's validated copy briefly doubles the output.
     """
     if n < 1:
         raise ValueError(f"sequence length must be at least 1, got {n}")
@@ -199,6 +204,31 @@ def _sample_markov(spec: ProcessSpec, n: int, rng: np.random.Generator) -> np.nd
     state = min(int(np.searchsorted(cum_pi, rng.random(), side="right")), len(pi) - 1)
     out = np.empty(n, dtype=_symbol_dtype(A))
     out[: min(n, m)] = [(state // A ** (m - 1 - i)) % A for i in range(m)][:n]
+    if table.shape == (2, 2):
+        # Two states, order 1: the loop below picks symbol 1 from state s
+        # exactly when u >= table[s, 0], and never if table[s, 1] is 0 (an
+        # infinite cut).  A draw that picks the same symbol from both states
+        # resets the chain to it; any other draw keeps or flips the state.
+        # So each symbol is the last reset's value XOR the parity of the
+        # flips since, and a chunk starts from a reset to the symbol before
+        # it.  Same draws, same symbols, and no Python object per draw.
+        cut = np.where(table[:, 1] > 0, table[:, 0], np.inf)
+        positions = np.arange(1, _DRAW_CHUNK + 1)
+        for start in range(1, n, _DRAW_CHUNK):
+            stop = min(start + _DRAW_CHUNK, n)
+            u = rng.random(stop - start)
+            from0 = u >= cut[0]
+            from1 = u >= cut[1]
+            parity = np.bitwise_xor.accumulate(from0 > from1)
+            # Reset values XOR the parity there, slot 0 the carried-in
+            # symbol; ``reset`` points each draw at its last reset's slot.
+            base = np.empty(u.size + 1, dtype=np.bool_)
+            base[0] = out[start - 1]
+            np.bitwise_xor(from0, parity, out=base[1:])
+            reset = np.where(from0 == from1, positions[: u.size], 0)
+            np.maximum.accumulate(reset, out=reset)
+            np.bitwise_xor(base[reset], parity, out=out[start:stop])
+        return out
     # Each row bisects its cumulative sums up to, not including, the one at
     # its last positive entry.  Every draw then maps to a symbol of positive
     # probability: one at or past the row's total (1.0 up to rounding) lands

@@ -9,7 +9,6 @@ points generalize the same idea to larger alphabets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,20 +125,6 @@ class NumericSeries:
         return int(self.samples.size)
 
 
-def _quantiles(samples: np.ndarray, probs):
-    """``np.quantile``'s linear cut points, also across more than the float64 range.
-
-    The interpolation subtracts one order statistic from the next, which
-    overflows across such a span.  The cuts are then taken on the halved
-    samples and doubled: halving is exact down to magnitudes of 2**-1021,
-    so only cuts between two samples smaller than that can move, by one
-    unit in the last place.
-    """
-    if math.isinf(float(samples.max()) - float(samples.min())):
-        return np.quantile(samples / 2, probs) * 2
-    return np.quantile(samples, probs)
-
-
 def binarize_median(series: NumericSeries) -> SymbolSequence:
     """Binarize a numeric series at its median.
 
@@ -148,11 +133,11 @@ def binarize_median(series: NumericSeries) -> SymbolSequence:
     (halfway between the two central order statistics for even lengths), so
     an even number of distinct samples splits exactly 50/50 and the output
     attains the maximal empirical symbol entropy of 1 bit.  It is the 0.5
-    cut point of :func:`digitize_quantiles`, which interpolates without
-    overflow for samples near the float64 limit of either sign.
+    cut point of :func:`digitize_quantiles`, and like every cut there it is
+    compared as its lower order statistic, exactly and without overflow.
     """
-    med = _quantiles(series.samples, 0.5)
-    return SymbolSequence(Alphabet(2), series.samples > med)
+    lower = np.quantile(series.samples, 0.5, method="lower")
+    return SymbolSequence(Alphabet(2), series.samples > lower)
 
 
 def digitize_quantiles(series: NumericSeries, levels: int) -> SymbolSequence:
@@ -160,15 +145,22 @@ def digitize_quantiles(series: NumericSeries, levels: int) -> SymbolSequence:
 
     Cut points are the k/levels empirical quantiles for k = 1..levels-1
     (linear interpolation between order statistics, as ``np.quantile``
-    takes them, also where the samples span more than the float64 range).
-    A sample's symbol is the number of cut points strictly below it, i.e.
-    bin k covers the half-open interval (q_k, q_{k+1}] and the lowest bin
-    is closed below.
+    takes them).  A sample's symbol is the number of cut points strictly
+    below it, i.e. bin k covers the half-open interval (q_k, q_{k+1}] and
+    the lowest bin is closed below.
     ``levels=2`` reproduces :func:`binarize_median`.
+
+    Each cut lies at or above the lower of its two order statistics and
+    below the upper one unless they are equal, and no sample lies strictly
+    between them, so exactly the samples above the lower one lie above the
+    cut.  The cuts are therefore taken as those lower order statistics
+    (``method="lower"``): exact, where a rounded interpolation can land on
+    the upper sample (1 + 2**-52 and 1 + 2**-51 would both map to 0) or
+    overflow across more than the float64 range.
     """
     if levels < 2:
         raise ValueError(f"levels must be at least 2, got {levels}")
-    cuts = _quantiles(series.samples, np.arange(1, levels) / levels)
+    cuts = np.quantile(series.samples, np.arange(1, levels) / levels, method="lower")
     symbols = np.searchsorted(cuts, series.samples, side="left")
     return SymbolSequence(Alphabet(levels), symbols)
 

@@ -37,6 +37,7 @@ from lzwmetrics.generators import _DRAW_CHUNK, _sample_markov
 from oracles import (
     closed_classes,
     footnote_bits,
+    gram_entropy_bits,
     markov_sample,
     naive_lzw_codes,
     stationary_by_eigendecomposition,
@@ -99,6 +100,19 @@ def test_entropy_bounds(s, q_max):
     profile = entropy_profile(s, min(q_max, len(s) - 1))
     assert all(h >= 0.0 for h in profile.hq)
     assert profile.h0 <= math.log2(s.alphabet.size) + 1e-12
+
+
+@SMALL
+@given(sequences(min_size=2), st.integers(1, 6))
+def test_block_entropy_is_subadditive(s, q):
+    # The chain rule on the (q+1)-gram table, whose marginals are exactly the
+    # q-grams of all but the last symbol and the symbols after the first q:
+    # H(q+1) <= H(q) + H(1) of those, with no slack beyond rounding.  This
+    # is hq <= h0 up to the symbols at either end.
+    q = min(q, len(s) - 1)
+    symbols = s.data.tolist()
+    bound = gram_entropy_bits(symbols[:-1], q) + gram_entropy_bits(symbols[q:], 1)
+    assert empirical_block_entropy(s, q + 1) <= bound + 1e-9
 
 
 def _sorted_block_entropy(s, q):
@@ -231,8 +245,27 @@ def markov_cases(draw):
     return ProcessSpec.markov(table, alphabet_size=A), n, seed, length
 
 
+def _two_state_examples(test):
+    # Two states, order 1, take the sampler's vectorized path: rows with a
+    # zero entry, eps = 1, and rows whose totals end just below 1.0, at the
+    # lengths around the chunk size.
+    C = _DRAW_CHUNK
+    tables = [
+        [[1.0, 0.0], [0.3, 0.7]],
+        [[0.0, 1.0], [0.6, 0.4]],
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[0.25, 0.75 - 2**-50], [0.9, 0.1 - 2**-50]],
+    ]
+    lengths = {"1": 1, "C-1": C - 1, "C": C, "C+1": C + 1, "2C+3": 2 * C + 3}
+    for table in tables:
+        for length, n in lengths.items():
+            test = example((ProcessSpec.markov(table), n, 7, length))(test)
+    return test
+
+
 @SMALL
 @given(markov_cases())
+@_two_state_examples
 def test_markov_sampler_matches_the_per_symbol_loop(case):
     spec, n, seed, length = case
     A, m, table = spec.alphabet_size, spec.order, spec.transition_table
@@ -240,8 +273,9 @@ def test_markov_sampler_matches_the_per_symbol_loop(case):
     expected = markov_sample(table, A, m, pi, n, np.random.default_rng(seed))
     assert np.array_equal(generate(spec, n, seed).data, expected)
 
-    # The same stream with edge draws spliced in: every row's cut points and
-    # the largest double below 1.0, which lands past a short row's total.
+    # The same stream with edge draws spliced in: every row's cut points
+    # (table[s, 0] in a two-state chain) and the largest double below 1.0,
+    # which lands past a short row's total.
     totals = np.cumsum(table, axis=1)
     draws = np.random.default_rng(seed).random(max(n - m, 0) + 1)
     edges = np.append(totals.ravel(), np.nextafter(1.0, 0.0))

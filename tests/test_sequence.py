@@ -1,6 +1,7 @@
 import pickle
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,6 +185,40 @@ class TestDigitizeQuantiles:
                 assert digitize_quantiles(series, 2) == out
                 # distinct samples: all above the middle one(s) map to 1
                 assert int(out.data.sum()) == size // 2
+
+    def test_adjacent_floats_split_at_the_exact_cut(self):
+        # The linear cut between 1 + 2**-52 and 1 + 2**-51 rounds onto the
+        # upper sample, which lies strictly above the exact cut.
+        a = np.nextafter(1.0, 2)
+        b = np.nextafter(a, 2)
+        series = NumericSeries([a, b])
+        assert binarize_median(series) == seq([0, 1])
+        assert digitize_quantiles(series, 2) == seq([0, 1])
+
+    def test_symbols_count_the_exact_linear_cuts_below(self):
+        # Runs of consecutive floats, where the interpolated cuts round
+        # onto samples: each sample's symbol counts the cuts, taken in
+        # exact arithmetic from numpy's index and weight, strictly below it.
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            levels = int(rng.integers(2, 10))
+            start = rng.choice([1.0, -3.0, 1e300, 5e-324])
+            samples = [start]
+            for step in rng.random(n - 1) < 0.8:
+                samples.append(np.nextafter(samples[-1], np.inf) if step else samples[-1])
+            samples = rng.permutation(samples)
+            ordered = [Fraction(x) for x in np.sort(samples)]
+            cuts = []
+            for h in (n - 1) * (np.arange(1, levels) / levels):
+                lo = int(np.floor(h))
+                hi = min(lo + 1, n - 1)
+                cuts.append(ordered[lo] + Fraction(h - lo) * (ordered[hi] - ordered[lo]))
+            expected = [sum(c < Fraction(x) for c in cuts) for x in samples]
+            out = digitize_quantiles(NumericSeries(samples), levels)
+            assert out.data.tolist() == expected
+            if levels == 2:
+                assert binarize_median(NumericSeries(samples)) == out
 
     def test_cut_points_across_the_float64_range(self):
         # each cut sits on a sample, but numpy still interpolates toward
