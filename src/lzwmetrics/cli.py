@@ -319,8 +319,6 @@ def _load_symbol_file(path: str, alphabet_size: int) -> SymbolSequence:
 
 
 def _row_is_numeric(row: list[str]) -> bool:
-    if not row:
-        return False
     for cell in row:
         try:
             float(cell.strip())

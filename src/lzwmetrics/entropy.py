@@ -46,6 +46,8 @@ Q_MAX_LIMIT = 16
 _POWER_TOL = 1e-15
 _POWER_MAX_ITERS = 10**6
 
+_ROW_SUM_TOL = 1e-12
+
 
 class DegenerateProcessError(ValueError):
     """The process has no unique stationary distribution."""
@@ -228,8 +230,10 @@ def stationary_distribution(
 
     ``transition_table`` holds one next-symbol distribution per A**m
     composite state; the induced state chain shifts the oldest symbol out
-    and the sampled one in.  The law is unique exactly when the support
-    graph has one closed class, which is checked first; otherwise
+    and the sampled one in.  A table of the wrong shape, with a negative
+    entry or with a row whose sum is not within 1e-12 of 1 (a NaN included)
+    raises ``ValueError``.  The law is unique exactly when the support
+    graph has one closed class, which is checked next; otherwise
     :class:`DegenerateProcessError` is raised.  Damped power iteration
     (averaging each iterate with its successor keeps the fixed points and
     suppresses periodic oscillation) then starts from the uniform law on
@@ -237,18 +241,19 @@ def stationary_distribution(
     0.  The iteration stops at an L1 step of 1e-15, near float64 rounding,
     so a chain that mixes too slowly to settle within 10**6 steps raises
     :class:`DegenerateProcessError` instead of returning a law it has not
-    reached.
+    reached.  :class:`~lzwmetrics.generators.ProcessSpec` calls this once
+    and keeps the law for sampling and for :func:`analytic_entropy_rate`.
     """
     table = np.asarray(transition_table, dtype=np.float64)
-    shape = (alphabet_size**order, alphabet_size)
+    n_states, A = shape = (alphabet_size**order, alphabet_size)
     if table.shape != shape:
         raise ValueError(f"transition table must have shape {shape}, got {table.shape}")
-    return _power_iteration(table, _closed_class(table, alphabet_size, order))
-
-
-def _power_iteration(table: np.ndarray, closed: np.ndarray) -> np.ndarray:
-    """:func:`stationary_distribution` given the mask of the closed class."""
-    n_states, A = table.shape
+    if (table < 0).any():
+        raise ValueError("transition probabilities must be non-negative")
+    # Written so that a NaN sum, which compares false, fails the check.
+    if not (np.abs(table.sum(axis=1) - 1.0) <= _ROW_SUM_TOL).all():
+        raise ValueError("transition rows must each sum to 1")
+    closed = _closed_class(table, A, order)
     pi = closed / np.count_nonzero(closed)
     targets = ((np.arange(n_states) % (n_states // A))[:, None] * A + np.arange(A)).ravel()
     for _ in range(_POWER_MAX_ITERS):
@@ -267,16 +272,14 @@ def analytic_entropy_rate(spec: "ProcessSpec") -> float:
     """Exact entropy rate in bits/symbol of a generator specification.
 
     Bernoulli(p) has rate equal to the binary entropy of p; an order-m
-    Markov chain has rate sum_s pi(s) * H(row_s) with pi its stationary
-    distribution; periodic and constant processes are deterministic and
-    have rate 0.
+    Markov chain has rate sum_s pi(s) * H(row_s) with pi the stationary
+    distribution that the spec keeps from its construction; periodic and
+    constant processes are deterministic and have rate 0.
     """
     kind = spec.kind
     if kind == "bernoulli":
         return h0_bernoulli(spec.p)
     if kind == "markov":
         row_h = np.array([_entropy_bits(row[row > 0], 1) for row in spec.transition_table])
-        return float(_power_iteration(spec.transition_table, spec._closed) @ row_h)
-    if kind in ("periodic", "constant"):
-        return 0.0
-    raise ValueError(f"unknown process kind: {kind!r}")
+        return float(spec._stationary @ row_h)
+    return 0.0

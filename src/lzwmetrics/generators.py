@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _closed_class, _power_iteration
+from .entropy import stationary_distribution
 from .sequence import Alphabet, SymbolSequence, _symbol_dtype
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
 # Composite-state count cap for order-m chains; A**m beyond this makes the
 # stationary-distribution computation and sampling tables unreasonable.
 _MAX_STATES = 65536
-
-_ROW_SUM_TOL = 1e-12
 
 # Random draws are taken this many at a time.  A Markov chunk over more than
 # two states lives as Python floats and ints (about 40 B per draw) while its
@@ -45,11 +43,15 @@ class ProcessSpec:
 
     ``kind`` selects the family and the matching fields must be set:
     ``bernoulli`` needs ``p``, ``markov`` needs ``order`` and a row-stochastic
-    ``transition_table`` over A**order states by A symbols whose state chain
-    has exactly one closed class (else :class:`DegenerateProcessError`, as
-    it has no unique stationary law), ``periodic``
+    ``transition_table`` over A**order states by A symbols, ``periodic``
     needs ``pattern``, ``constant`` needs ``symbol``.  The classmethod
-    constructors fill in the bookkeeping.
+    constructors fill in the bookkeeping.  A Markov spec keeps a read-only
+    copy of its table and the stationary law that
+    :func:`~lzwmetrics.entropy.stationary_distribution` computes from it
+    once, at construction, and that function's checks apply: a table that
+    is not stochastic raises ``ValueError``; a chain with no unique
+    stationary law, or one that mixes too slowly to settle on it, raises
+    :class:`DegenerateProcessError`.
     """
 
     kind: str
@@ -59,9 +61,9 @@ class ProcessSpec:
     transition_table: np.ndarray | None = None
     pattern: tuple[int, ...] | None = None
     symbol: int | None = None
-    # Mask of the closed class of a Markov spec's state chain, found once
-    # here and passed on to every stationary-law computation.
-    _closed: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # Stationary law of a Markov spec's state chain, solved once here and
+    # read by sampling and by the analytic entropy rate.
+    _stationary: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         A = self.alphabet_size
@@ -80,20 +82,10 @@ class ProcessSpec:
                     f"state space {A}**{self.order} exceeds the {_MAX_STATES} cap"
                 )
             table = np.array(self.transition_table, dtype=np.float64, copy=True)
-            if table.shape != (A**self.order, A):
-                raise ValueError(
-                    f"transition table must have shape ({A ** self.order}, {A}), "
-                    f"got {table.shape}"
-                )
-            if (table < 0).any():
-                raise ValueError("transition probabilities must be non-negative")
-            sums = table.sum(axis=1)
-            if np.abs(sums - 1.0).max() > _ROW_SUM_TOL:
-                raise ValueError("transition rows must each sum to 1")
-            closed = _closed_class(table, A, self.order)
-            table.flags.writeable = closed.flags.writeable = False
+            pi = stationary_distribution(table, A, self.order)
+            table.flags.writeable = pi.flags.writeable = False
             object.__setattr__(self, "transition_table", table)
-            object.__setattr__(self, "_closed", closed)
+            object.__setattr__(self, "_stationary", pi)
         elif self.kind == "periodic":
             if not self.pattern:
                 raise ValueError("periodic pattern must be non-empty")
@@ -160,9 +152,10 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> SymbolSequence:
     """Draw a length-n realization, deterministic in (spec, n, seed).
 
     Markov runs start from a composite state drawn from the stationary
-    distribution, so the sample is stationary from its first symbol and
-    needs no burn-in.  Randomness comes from numpy's ``default_rng``
-    (PCG64) seeded with ``seed``.  Bernoulli and Markov sampling draw their
+    distribution that the spec solved once when it was built, so the
+    sample is stationary from its first symbol and needs no burn-in.
+    Randomness comes from numpy's ``default_rng`` (PCG64) seeded with
+    ``seed``.  Bernoulli and Markov sampling draw their
     uniforms in fixed-size chunks from that one stream, which yields the
     same doubles as a single draw of all of them, and write each chunk's
     symbols straight into an output in the sequence's storage type (one
@@ -190,18 +183,15 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> SymbolSequence:
             stop = min(start + _DRAW_CHUNK, n)
             np.less(rng.random(stop - start), spec.p, out=out[start:stop])
         return SymbolSequence(alphabet, out)
-    if spec.kind == "markov":
-        return SymbolSequence(alphabet, _sample_markov(spec, n, rng))
-    raise ValueError(f"unknown process kind: {spec.kind!r}")
+    return SymbolSequence(alphabet, _sample_markov(spec, n, rng))
 
 
 def _sample_markov(spec: ProcessSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     A = spec.alphabet_size
     m = spec.order
     table = spec.transition_table
-    pi = _power_iteration(table, spec._closed)
-    cum_pi = np.cumsum(pi)
-    state = min(int(np.searchsorted(cum_pi, rng.random(), side="right")), len(pi) - 1)
+    cum_pi = np.cumsum(spec._stationary)
+    state = min(int(np.searchsorted(cum_pi, rng.random(), side="right")), len(cum_pi) - 1)
     out = np.empty(n, dtype=_symbol_dtype(A))
     out[: min(n, m)] = [(state // A ** (m - 1 - i)) % A for i in range(m)][:n]
     if table.shape == (2, 2):

@@ -26,11 +26,15 @@ def json_lines(text):
     return [json.loads(line) for line in text.splitlines() if line]
 
 
+def child_env():
+    """Environment in which a child Python imports the package this process imported."""
+    paths = [str(Path(lzwmetrics.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
 def python_child(code, *argv, **kwargs):
     """Start ``python -c code argv...`` on the package this process imported."""
-    paths = [str(Path(lzwmetrics.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    return subprocess.Popen([sys.executable, "-c", code, *argv], env=env, **kwargs)
+    return subprocess.Popen([sys.executable, "-c", code, *argv], env=child_env(), **kwargs)
 
 
 def forced_pool(monkeypatch, workers):
@@ -223,6 +227,27 @@ class TestGeneratorInput:
         # one configuration error line, no unit failure record
         assert err.startswith("error:") and err.count("\n") == 1
         assert "not unique" in err
+
+    def test_table_with_nan_is_config_error(self, tmp_path, capsys):
+        table = tmp_path / "nan.csv"
+        table.write_text("nan,1\n0.5,0.5\n")
+        code, out, err = run_cli(capsys, "--generate", f"markov-file:{table},n=100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "transition rows must each sum to 1" in err
+
+    def test_chain_that_does_not_settle_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # The law is solved when the spec is built, before any input is read,
+        # so a chain that runs into the step cap fails the configuration.
+        from lzwmetrics import entropy
+
+        monkeypatch.setattr(entropy, "_POWER_MAX_ITERS", 10**3)
+        table = tmp_path / "slow.csv"
+        table.write_text("0.99999,0.00001\n0.00002,0.99998\n")
+        code, out, err = run_cli(capsys, "--generate", f"markov-file:{table},n=100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "did not converge" in err
 
     def test_bad_generator_spec_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "--generate", "bernoulli:p=0.5")
@@ -740,6 +765,13 @@ class TestConfigErrors:
             ("--input", "x", "--output", "x"),
             ("--generate", "bernoulli:p=0.5,n=2000", "--alphabet-size", "7"),
             ("--input", "x", "--format", "csv", "--alphabet-size", "9"),
+            ("--input", "x", "--format", "csv", "--digitizer", "quantiles:x"),
+            ("--input", "x", "--digitizer", "foo"),
+            ("--generate", "markov"),
+            ("--generate", "markov:eps"),
+            ("--generate", "markov-file:/no/such.csv,n=5"),
+            ("--generate", "bernoulli:p=0.5,n=5,x=1"),
+            ("--generate", "bernoulli:p=0.5,n=0"),
         ],
     )
     def test_contradictions_exit_2(self, capsys, argv):
@@ -852,3 +884,17 @@ class TestDeterminism:
         capsys.readouterr()
         assert code2 == 0
         assert out_file.read_text() == out
+
+
+class TestEntryPoint:
+    def test_module_run_matches_main(self, capsys):
+        argv = ("--generate", "constant:symbol=0,n=2", "--qmax", "1", "--surrogates", "0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "lzwmetrics", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+        assert (proc.returncode, proc.stdout) == (code, out)

@@ -278,6 +278,22 @@ class TestStationaryDistribution:
         assert time.process_time() - start < 1.0
         assert (pi == 2.0**-m).all()
 
+    @pytest.mark.parametrize(
+        "table, A, order, message",
+        [
+            (np.full((3, 2), 0.5), 2, 1, r"must have shape \(2, 2\), got \(3, 2\)"),
+            ([[1.2, -0.2], [0.5, 0.5]], 2, 1, "must be non-negative"),
+            ([[0.7, 0.2], [0.5, 0.5]], 2, 1, "rows must each sum to 1"),
+            ([[np.nan, 1.0], [0.5, 0.5]], 2, 1, "rows must each sum to 1"),
+            ([[np.inf, 1.0], [0.5, 0.5]], 2, 1, "rows must each sum to 1"),
+        ],
+        ids=["shape", "negative", "row-sum", "nan", "inf"],
+    )
+    def test_non_stochastic_tables_are_rejected(self, table, A, order, message):
+        with pytest.raises(ValueError, match=message) as info:
+            stationary_distribution(table, A, order)
+        assert not isinstance(info.value, DegenerateProcessError)
+
     def test_non_convergence_names_the_state_count_and_the_cap(self, monkeypatch):
         monkeypatch.setattr(entropy, "_POWER_MAX_ITERS", 3)
         with pytest.raises(DegenerateProcessError, match="on 2 states in 3 steps"):
@@ -289,11 +305,10 @@ class TestStationaryDistribution:
         # about 1e12 steps, so a lower cap ends the same way, only sooner.
         monkeypatch.setattr(entropy, "_POWER_MAX_ITERS", 10**4)
         table = [[1 - 1e-13, 1e-13], [3e-13, 1 - 3e-13]]
-        spec = ProcessSpec.markov(table)
         rate = 0.75 * h0_bernoulli(1e-13) + 0.25 * h0_bernoulli(3e-13)
         for solve, exact in (
             (lambda: stationary_distribution(table, 2, 1), [0.75, 0.25]),
-            (lambda: analytic_entropy_rate(spec), rate),
+            (lambda: analytic_entropy_rate(ProcessSpec.markov(table)), rate),
         ):
             try:
                 got = solve()

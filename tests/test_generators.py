@@ -34,9 +34,19 @@ class TestProcessSpecValidation:
         with pytest.raises(ValueError):
             ProcessSpec.markov([[1.2, -0.2], [0.5, 0.5]])
 
+    def test_markov_row_with_nan_is_rejected(self):
+        with pytest.raises(ValueError, match="transition rows must each sum to 1"):
+            ProcessSpec.markov([[np.nan, 1.0], [0.5, 0.5]])
+
     def test_markov_shape_must_match_alphabet(self):
         with pytest.raises(ValueError):
             ProcessSpec.markov(np.full((3, 2), 0.5), alphabet_size=2)
+
+    def test_markov_shape_must_match_the_order(self):
+        with pytest.raises(ValueError, match=r"must have shape \(4, 2\), got \(2, 2\)"):
+            ProcessSpec(
+                kind="markov", alphabet_size=2, order=2, transition_table=np.full((2, 2), 0.5)
+            )
 
     def test_markov_state_space_cap(self):
         with pytest.raises(ValueError):
@@ -63,21 +73,29 @@ class TestProcessSpecValidation:
             build()
 
     def test_closed_class_is_found_once_per_spec(self, monkeypatch):
+        # One solve, at construction, and one closed-class search inside it;
+        # sampling and the analytic rate read the law the spec keeps.
         from lzwmetrics import entropy, generators
 
-        calls, search = [], entropy._closed_class
+        calls = []
+        real_search, real_solve = entropy._closed_class, entropy.stationary_distribution
 
-        def counted(*args):
-            calls.append(args)
-            return search(*args)
+        def search(*args):
+            calls.append("search")
+            return real_search(*args)
 
-        monkeypatch.setattr(generators, "_closed_class", counted)
-        monkeypatch.setattr(entropy, "_closed_class", counted)
+        def solve(*args):
+            calls.append("solve")
+            return real_solve(*args)
+
+        monkeypatch.setattr(entropy, "_closed_class", search)
+        monkeypatch.setattr(entropy, "stationary_distribution", solve)
+        monkeypatch.setattr(generators, "stationary_distribution", solve)
         spec = ProcessSpec.markov(np.full((16, 2), 0.5))
         generate(spec, 100, 0)
         generate(spec, 100, 1)
         analytic_entropy_rate(spec)
-        assert len(calls) == 1
+        assert calls == ["solve", "search"]
 
     def test_markov_with_a_transient_state_is_valid(self):
         spec = ProcessSpec.markov([[0.5, 0.5], [0.0, 1.0]])
