@@ -619,8 +619,9 @@ def emit_report(report: MetricReport, output_format: str = "json", q_max: int | 
 # units so far, reaches this many symbols.  Starting and stopping a pool of
 # two fork workers adds about 70 ms and 1.1 MiB to a run, and this much work
 # is where the pool breaks even: on Bernoulli(0.5) input with S = 9, the
-# pool's wall time was +9 ms at 10^6 symbols and -50 ms at 2*10^6 (medians
-# of 12 alternating runs; 2-core Xeon host, Python 3.11, numpy 2.4).
+# pool's wall time was +11 to +32 ms at 10^6 symbols and -40 to -55 ms at
+# 2*10^6 (median gaps of 12 alternating pairs, two sets; 2-core Xeon host,
+# Python 3.11, numpy 2.4).
 _POOL_MIN_SYMBOLS = 10**6
 
 

@@ -99,6 +99,14 @@ class ProcessSpec:
         else:
             raise ValueError(f"unknown process kind: {self.kind!r}")
 
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled and copied arrays come back writeable; the table and its
+        # law stay read-only, and the table is not solved again.
+        self.__dict__.update(state)
+        for array in (self.transition_table, self._stationary):
+            if array is not None:
+                array.flags.writeable = False
+
     @classmethod
     def bernoulli(cls, p: float) -> "ProcessSpec":
         """I.i.d. binary draws with P(symbol 1) = p."""

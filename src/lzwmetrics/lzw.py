@@ -59,12 +59,15 @@ class LzwResult:
     bound_bits: float
 
 
-# Alphabets up to this size parse against a dense child table, larger ones
+# Alphabets up to this size parse against dense child columns, larger ones
 # against a hash table.  Both costs were measured on CPython 3.11 with 300k
-# symbols.  Parse time, dense over hash: 0.59-0.87x for A=2..16 (iid and
-# sticky-Markov input), 0.99x at A=32 iid and 1.94x at A=64 iid.  Peak
-# traced memory (tracemalloc, iid uniform), dense over hash: 0.43x at A=2,
-# 0.55x at A=4, 0.99x at A=8, 1.11x at A=16, 1.16x at A=17 and 2.28x at A=32.
+# iid uniform symbols (medians of 7 alternating calls, two sessions).  Parse
+# time, dense over hash: 0.37-0.38x at A=2, 0.43-0.47x at A=4, 0.53x at A=8,
+# 0.67-0.78x at A=16, 0.68-0.74x at A=17, 1.02-1.17x at A=32 and 1.44-1.82x
+# at A=64.  Peak traced memory (tracemalloc), dense over hash: 0.31x at A=2,
+# 0.43x at A=4, 0.78x at A=8, 0.94x at A=16, 1.00x at A=17 and 2.08x at
+# A=32.  Past 16 the columns cost more memory than the hash table, and the
+# time they save shrinks to nothing by A=32.
 _DENSE_MAX_A = 16
 
 
@@ -73,9 +76,9 @@ def encode(seq: SymbolSequence) -> LzwResult:
 
     The dictionary starts as the A single-symbol strings at indices 0..A-1
     and grows by one entry per emitted phrase (while input remains).  For A
-    up to 16 it is stored as a trie whose child slots form one flat list, A
-    slots per entry, indexed directly.  Beyond 16 most of those slots stay
-    empty, the dense table outgrows a hash table and stops being faster, so
+    up to 16 it is stored as a trie with one child column per symbol, each
+    indexed directly by entry number.  Beyond 16 most of those slots stay
+    empty, the columns outgrow a hash table and stop being faster, so
     larger alphabets use a flat hash keyed on (matched-prefix index, next
     symbol).  Either way every input symbol costs O(1) and a full parse is
     linear in n; sequences of 10^7 symbols parse in seconds.
@@ -93,30 +96,35 @@ def encode(seq: SymbolSequence) -> LzwResult:
 
 
 def _parse_dense(data: np.ndarray, A: int) -> list[int]:
-    """Greedy LZW parse of symbols 0..A-1 against a flat child list."""
-    # Entry k is held as k*A, so the child slot of (entry, symbol) is
-    # entry + symbol.  Slot value 0 means no child: entry 0 is a single
-    # symbol and never anyone's child.  Each new entry appends its row of A
-    # empty slots.
-    child = [0] * (A * A)
-    grow, row = child.extend, [0] * A
+    """Greedy LZW parse of symbols 0..A-1 against per-symbol child columns."""
+    # cols[s][k] is the child of entry k by symbol s, so entries and codes
+    # are the same ints and the loop does no arithmetic per symbol.  Slot
+    # value 0 means no child: entry 0 is a single symbol and never anyone's
+    # child.  The columns hold slots for entries 0..cap-1 and all grow by an
+    # eighth when the next new entry would fall past them.
+    cap = 64
+    cols = tuple([0] * cap for _ in range(A))
     codes: list[int] = []
     append = codes.append
     # A <= 16, so the symbols are stored one byte each.
     it = iter(data.tobytes())
-    current = next(it) * A
-    next_entry = A * A
+    current = next(it)
+    next_entry = A
     for s in it:
-        found = child[current + s]
+        found = cols[s][current]
         if found:
             current = found
         else:
-            append(current // A)
-            child[current + s] = next_entry
-            next_entry += A
-            grow(row)
-            current = s * A
-    append(current // A)
+            append(current)
+            if next_entry == cap:
+                grow = [0] * (cap >> 3)
+                for col in cols:
+                    col.extend(grow)
+                cap += len(grow)
+            cols[s][current] = next_entry
+            next_entry += 1
+            current = s
+    append(current)
     return codes
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -96,6 +98,22 @@ class TestProcessSpecValidation:
         generate(spec, 100, 1)
         analytic_entropy_rate(spec)
         assert calls == ["solve", "search"]
+
+    @pytest.mark.parametrize(
+        "clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_cloned_markov_spec_stays_read_only(self, clone, monkeypatch):
+        from lzwmetrics import generators
+
+        spec = ProcessSpec.markov([[0.9, 0.1], [0.2, 0.8]])
+        monkeypatch.setattr(generators, "stationary_distribution", None)  # no second solve
+        twin = clone(spec)
+        np.testing.assert_array_equal(twin.transition_table, spec.transition_table)
+        np.testing.assert_array_equal(twin._stationary, spec._stationary)
+        assert not twin.transition_table.flags.writeable
+        assert not twin._stationary.flags.writeable
+        assert generate(twin, 1000, 3) == generate(spec, 1000, 3)
 
     def test_markov_with_a_transient_state_is_valid(self):
         spec = ProcessSpec.markov([[0.5, 0.5], [0.0, 1.0]])

@@ -96,6 +96,32 @@ class TestAgainstNaiveParser:
         assert list(r.codes) == naive_lzw_codes(symbols.tolist(), A)
         assert r.phrase_count < len(symbols) / 5
 
+    @pytest.mark.parametrize("A, n", [(2, 16000), (3, 9000), (16, 3000)])
+    def test_codes_across_child_column_growth(self, A, n):
+        # The dense parser's child columns hold slots for 64 entries and all
+        # grow by an eighth whenever the next new entry would fall past them.
+        # A prefix that ends on a phrase boundary parses to a prefix of the
+        # codes, so each growth step is checked on prefixes whose last new
+        # entry is the old capacity (growth on the final miss), one less
+        # (growth due, no miss left) and one more (a write after growth).
+        alphabet = Alphabet(A)
+        symbols = np.random.default_rng(30 + A).integers(0, A, n)
+        codes = naive_lzw_codes(symbols.tolist(), A)
+        caps, cap = [], 64
+        while cap - A + 3 <= len(codes):
+            caps.append(cap)
+            cap += cap >> 3
+        assert len(caps) >= 3 and caps[-1] > 1024
+        assert list(encode(seq(symbols, A=A)).codes) == codes
+        for cap in caps:
+            # After k phrases the last new entry is A + k - 2.
+            for k in (cap - A + 1, cap - A + 2, cap - A + 3):
+                end = len(decode(codes[:k], alphabet))
+                assert list(encode(seq(symbols[:end], A=A)).codes) == codes[:k]
+        last = caps[-1] - A + 2
+        prefix = symbols[: len(decode(codes[:last], alphabet))].tolist()
+        assert list(encode(seq(prefix, A=A)).codes) == naive_lzw_codes(prefix, A)
+
     def test_constant_sequence_closed_form(self):
         for n in (1, 2, 3, 10, 100, 1000, 12345):
             r = encode(seq([0] * n))

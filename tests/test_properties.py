@@ -85,6 +85,21 @@ def test_description_length_is_the_footnote_price(s):
 
 
 @SMALL
+@given(sequences())
+# codes (0, 27, 28): past the bound by more than c + log2(A) = 7.75 bits
+@example(SymbolSequence(Alphabet(27), np.zeros(6, dtype=np.int64)))
+def test_description_length_within_bound_slack(s):
+    # The bound prices each code at log2(c + log2 A) bits.  The code width M
+    # (the largest code, at least 2) is at most A + c <= A * (c + log2 A), so
+    # each code costs at most log2(A) bits more, and announcing the width
+    # costs log2(log2 M) <= log2(log2(A + c)).
+    r = encode(s)
+    A, c = s.alphabet.size, r.phrase_count
+    slack = c * math.log2(A) + math.log2(math.log2(A + c))
+    assert r.description_length_bits <= r.bound_bits + slack
+
+
+@SMALL
 @given(sequences(min_size=2), st.integers(1, 6))
 def test_profile_matches_the_single_quantities_exactly(s, q_max):
     q_max = min(q_max, len(s) - 1)
