@@ -45,7 +45,6 @@ from .sequence import (
     Alphabet,
     NumericSeries,
     SymbolSequence,
-    binarize_median,
     digitize_quantiles,
     shuffle,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "Alphabet",
     "SymbolSequence",
     "NumericSeries",
-    "binarize_median",
     "digitize_quantiles",
     "shuffle",
     "LzwResult",

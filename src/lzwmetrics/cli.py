@@ -57,7 +57,6 @@ from .sequence import (
     Alphabet,
     NumericSeries,
     SymbolSequence,
-    binarize_median,
     digitize_quantiles,
 )
 
@@ -84,7 +83,7 @@ class RunConfig:
     generator: GeneratorInput | None
     input_format: str
     column: str | None
-    digitizer: str
+    # Quantile levels of the digitizer (median is 2), None for symbol input.
     digitizer_levels: int | None
     alphabet_size: int
     window_length: int | None
@@ -172,11 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_digitizer(text: str) -> tuple[str, int | None]:
+def _parse_digitizer(text: str) -> int | None:
+    """Quantile levels of a ``--digitizer`` value; ``none`` gives None."""
     if text == "median":
-        return "median", None
+        return 2
     if text == "none":
-        return "none", None
+        return None
     if text.startswith("quantiles:"):
         raw = text.split(":", 1)[1]
         try:
@@ -185,7 +185,7 @@ def _parse_digitizer(text: str) -> tuple[str, int | None]:
             raise ConfigError(f"bad quantile level count {raw!r}") from None
         if levels < 2:
             raise ConfigError(f"quantile digitizer needs at least 2 levels, got {levels}")
-        return "quantiles", levels
+        return levels
     raise ConfigError(f"unknown digitizer {text!r} (use median, quantiles:K, or none)")
 
 
@@ -235,17 +235,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     digitizer_raw = args.digitizer
     if digitizer_raw is None:
         digitizer_raw = "none" if (args.generate or args.format == "symbols") else "median"
-    kind, levels = _parse_digitizer(digitizer_raw)
+    levels = _parse_digitizer(digitizer_raw)
 
     generator = None
     if args.generate is not None:
-        if kind != "none":
+        if levels is not None:
             raise ConfigError("generated sequences are already symbolic; drop --digitizer")
         generator = _parse_generator_spec(args.generate)
     else:
-        if args.format == "symbols" and kind != "none":
+        if args.format == "symbols" and levels is not None:
             raise ConfigError("digitizers apply to numeric input; symbol input needs --digitizer none")
-        if args.format == "csv" and kind == "none":
+        if args.format == "csv" and levels is None:
             raise ConfigError("--digitizer none requires symbol-format input")
     if args.column is not None and (args.generate is not None or args.format != "csv"):
         raise ConfigError("--column only applies to csv input")
@@ -271,7 +271,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         generator=generator,
         input_format=args.format,
         column=args.column,
-        digitizer=kind,
         digitizer_levels=levels,
         alphabet_size=alphabet_size,
         window_length=args.window,
@@ -471,11 +470,9 @@ def _load(source: str, config: RunConfig) -> SymbolSequence | NumericSeries:
 
 
 def _to_symbols(data: SymbolSequence | NumericSeries, config: RunConfig) -> SymbolSequence:
-    if config.digitizer == "median":
-        return binarize_median(data)
-    if config.digitizer == "quantiles":
-        return digitize_quantiles(data, config.digitizer_levels)
-    return data
+    if config.digitizer_levels is None:
+        return data
+    return digitize_quantiles(data, config.digitizer_levels)
 
 
 def _windows(

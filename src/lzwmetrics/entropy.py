@@ -4,8 +4,11 @@ Block entropies are plug-in estimates over overlapping q-grams; the order-q
 conditional entropy is the difference of consecutive block entropies,
 clamped at zero.  All values are in bits.  For synthetic processes whose law
 is known exactly, :func:`analytic_entropy_rate` returns the true entropy
-rate, which the conditional-entropy estimates (and the LZW compression
-ratio) approach from above.
+rate.  The LZW compression ratio approaches it from above.  The plug-in
+conditional entropies do only while A**(q+1) is small against n; past that
+they fall below it, as sparse q-gram counts look more predictable than the
+source (an order-1 chain over A = 20 at n = 10**6 puts hq_3 0.035 bits
+under the rate).
 """
 
 from __future__ import annotations
@@ -273,8 +276,8 @@ def analytic_entropy_rate(spec: "ProcessSpec") -> float:
 
     Bernoulli(p) has rate equal to the binary entropy of p; an order-m
     Markov chain has rate sum_s pi(s) * H(row_s) with pi the stationary
-    distribution that the spec keeps from its construction; periodic and
-    constant processes are deterministic and have rate 0.
+    distribution that the spec keeps from its construction; periodic
+    processes, constant ones included, are deterministic and have rate 0.
     """
     kind = spec.kind
     if kind == "bernoulli":

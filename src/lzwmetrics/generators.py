@@ -3,8 +3,8 @@
 These generators serve double duty: verification oracles for the
 convergence of LZW description length toward the entropy rate, and demo
 sources for the command line.  Every ``generate`` call is a pure function
-of (spec, n, seed); periodic and constant kinds consume no randomness at
-all.
+of (spec, n, seed); periodic specs, constant ones included, consume no
+randomness at all.
 """
 
 from __future__ import annotations
@@ -37,21 +37,25 @@ _MAX_STATES = 65536
 _DRAW_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessSpec:
     """Parameterization of one synthetic process.
 
     ``kind`` selects the family and the matching fields must be set:
     ``bernoulli`` needs ``p``, ``markov`` needs ``order`` and a row-stochastic
     ``transition_table`` over A**order states by A symbols, ``periodic``
-    needs ``pattern``, ``constant`` needs ``symbol``.  The classmethod
-    constructors fill in the bookkeeping.  A Markov spec keeps a read-only
-    copy of its table and the stationary law that
-    :func:`~lzwmetrics.entropy.stationary_distribution` computes from it
-    once, at construction, and that function's checks apply: a table that
-    is not stochastic raises ``ValueError``; a chain with no unique
-    stationary law, or one that mixes too slowly to settle on it, raises
-    :class:`DegenerateProcessError`.
+    needs ``pattern``.  The classmethod constructors fill in the
+    bookkeeping; :meth:`constant` is a periodic spec with a one-symbol
+    pattern.  A Markov spec keeps a read-only copy of its table and the
+    stationary law that :func:`~lzwmetrics.entropy.stationary_distribution`
+    computes from it once, at construction, and that function's checks
+    apply: a table that is not stochastic raises ``ValueError``; a chain
+    with no unique stationary law, or one that mixes too slowly to settle
+    on it, raises :class:`DegenerateProcessError`.
+
+    Specs compare and hash by identity, as plain objects do: a spec equals
+    itself (and nothing else) and can key a dict or sit in a set, whatever
+    arrays it holds.
     """
 
     kind: str
@@ -60,10 +64,9 @@ class ProcessSpec:
     order: int | None = None
     transition_table: np.ndarray | None = None
     pattern: tuple[int, ...] | None = None
-    symbol: int | None = None
     # Stationary law of a Markov spec's state chain, solved once here and
     # read by sampling and by the analytic entropy rate.
-    _stationary: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _stationary: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         A = self.alphabet_size
@@ -93,9 +96,6 @@ class ProcessSpec:
             if any(not 0 <= s < A for s in pattern):
                 raise ValueError(f"pattern symbols must lie in 0..{A - 1}")
             object.__setattr__(self, "pattern", pattern)
-        elif self.kind == "constant":
-            if self.symbol is None or not 0 <= self.symbol < A:
-                raise ValueError(f"constant symbol must lie in 0..{A - 1}")
         else:
             raise ValueError(f"unknown process kind: {self.kind!r}")
 
@@ -137,8 +137,8 @@ class ProcessSpec:
 
     @classmethod
     def constant(cls, symbol: int = 0, alphabet_size: int = 2) -> "ProcessSpec":
-        """A single symbol repeated forever."""
-        return cls(kind="constant", alphabet_size=alphabet_size, symbol=int(symbol))
+        """A single symbol repeated forever: a period of one symbol."""
+        return cls.periodic([symbol], alphabet_size)
 
 
 def symmetric_binary_markov(flip_probability: float) -> ProcessSpec:
@@ -177,11 +177,8 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> SymbolSequence:
     if n < 1:
         raise ValueError(f"sequence length must be at least 1, got {n}")
     alphabet = Alphabet(spec.alphabet_size)
-    dtype = _symbol_dtype(spec.alphabet_size)
-    if spec.kind == "constant":
-        return SymbolSequence(alphabet, np.full(n, spec.symbol, dtype=dtype))
     if spec.kind == "periodic":
-        pattern = np.array(spec.pattern, dtype=dtype)
+        pattern = np.array(spec.pattern, dtype=_symbol_dtype(spec.alphabet_size))
         reps = -(-n // pattern.size)
         return SymbolSequence(alphabet, np.tile(pattern, reps)[:n])
     rng = np.random.default_rng(seed)

@@ -2,9 +2,9 @@
 
 A :class:`SymbolSequence` is the object every complexity metric consumes.
 Numeric recordings enter through :class:`NumericSeries` and are mapped onto a
-finite alphabet by one of the digitizers below.  Thresholding at the median
-maximizes the empirical symbol entropy of a binary output; quantile cut
-points generalize the same idea to larger alphabets.
+finite alphabet by the quantile digitizer below.  Two levels threshold at
+the median, which maximizes the empirical symbol entropy of a binary output;
+more levels generalize the same idea to larger alphabets.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "Alphabet",
     "SymbolSequence",
     "NumericSeries",
-    "binarize_median",
     "digitize_quantiles",
     "shuffle",
 ]
@@ -125,21 +124,6 @@ class NumericSeries:
         return int(self.samples.size)
 
 
-def binarize_median(series: NumericSeries) -> SymbolSequence:
-    """Binarize a numeric series at its median.
-
-    Samples strictly above the median map to 1, everything else (including
-    exact ties) to 0.  The median is the midpoint of the sorted samples
-    (halfway between the two central order statistics for even lengths), so
-    an even number of distinct samples splits exactly 50/50 and the output
-    attains the maximal empirical symbol entropy of 1 bit.  It is the 0.5
-    cut point of :func:`digitize_quantiles`, and like every cut there it is
-    compared as its lower order statistic, exactly and without overflow.
-    """
-    lower = np.quantile(series.samples, 0.5, method="lower")
-    return SymbolSequence(Alphabet(2), series.samples > lower)
-
-
 def digitize_quantiles(series: NumericSeries, levels: int) -> SymbolSequence:
     """Discretize a numeric series into ``levels`` near-equally-populated bins.
 
@@ -147,8 +131,9 @@ def digitize_quantiles(series: NumericSeries, levels: int) -> SymbolSequence:
     (linear interpolation between order statistics, as ``np.quantile``
     takes them).  A sample's symbol is the number of cut points strictly
     below it, i.e. bin k covers the half-open interval (q_k, q_{k+1}] and
-    the lowest bin is closed below.
-    ``levels=2`` reproduces :func:`binarize_median`.
+    the lowest bin is closed below.  ``levels=2`` thresholds at the median:
+    samples strictly above it map to 1, everything else (exact ties
+    included) to 0, so n distinct samples put n // 2 in bin 1.
 
     Each cut lies at or above the lower of its two order statistics and
     below the upper one unless they are equal, and no sample lies strictly

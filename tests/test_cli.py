@@ -175,6 +175,18 @@ class TestGeneratorInput:
         assert report["rho1_analytic"] is None
         assert "h0 degenerate" in report["warnings"]
 
+    @pytest.mark.parametrize("symbol", ["0", "1"])
+    def test_constant_is_a_one_symbol_period(self, capsys, symbol):
+        argv = ["--qmax", "3", "--surrogates", "2", "--seed", "3"]
+        reports = []
+        for spec in (f"constant:symbol={symbol},n=3000", f"periodic:pattern={symbol},n=3000"):
+            code, out, err = run_cli(capsys, "--generate", spec, *argv)
+            assert (code, err) == (0, "")
+            (report,) = json_lines(out)
+            assert report.pop("source") == spec
+            reports.append(report)
+        assert reports[0] == reports[1]
+
     def test_markov_shorthand(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -297,6 +309,39 @@ class TestCsvInput:
         # digitized to 0,0,1,1 which parses into four single-symbol phrases
         assert report["n"] == 4
         assert report["c"] == 4
+
+    @pytest.mark.parametrize("window", [None, "2"])
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_median_is_two_quantiles(
+        self, tmp_path, capsys, monkeypatch, output_format, window
+    ):
+        # the overflow, tie and adjacent-float samples of the digitizer tests
+        a = np.nextafter(1.0, 2)
+        samples = [
+            [1e308, 1.5e308, 1.2e308, 1.7e308],
+            [-1e308, -1.5e308, -1.2e308, -1.7e308],
+            [1.7e308, -1.7e308],
+            [-1e308, 1.5e308, -1.2e308, 1.7e308, 0.0],
+            [7.0, 7.0, 7.0, 7.0],
+            [a, np.nextafter(a, 2)],
+        ]
+        for i, values in enumerate(samples):
+            self.make_csv(tmp_path / f"{i}.csv", values)
+        argv = [
+            "--input", str(tmp_path), "--format", "csv", "--qmax", "2",
+            "--surrogates", "2", "--output-format", output_format,
+            *(["--window", window] if window else []),
+        ]
+        levels = []
+        # the digitizer is looked up on the cli module, where tracing wraps it
+        real = cli.digitize_quantiles
+        monkeypatch.setattr(
+            cli, "digitize_quantiles", lambda series, k: levels.append(k) or real(series, k)
+        )
+        code, out, err = run_cli(capsys, *argv, "--digitizer", "median")
+        assert code == 0 and out
+        assert set(levels) == {2}
+        assert run_cli(capsys, *argv, "--digitizer", "quantiles:2") == (code, out, err)
 
     def test_column_by_index_without_header(self, tmp_path, capsys):
         path = tmp_path / "two_columns.csv"

@@ -115,6 +115,26 @@ class TestProcessSpecValidation:
         assert not twin._stationary.flags.writeable
         assert generate(twin, 1000, 3) == generate(spec, 1000, 3)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ProcessSpec.bernoulli(0.3),
+            lambda: ProcessSpec.markov([[0.9, 0.1], [0.2, 0.8]]),
+            lambda: ProcessSpec.periodic([0, 1, 1]),
+            lambda: ProcessSpec.constant(1),
+        ],
+        ids=["bernoulli", "markov", "periodic", "constant"],
+    )
+    def test_specs_compare_and_hash_by_identity(self, make):
+        spec, twin = make(), make()
+        back = pickle.loads(pickle.dumps(spec))
+        for a, b in [(spec, twin), (spec, back), (back, twin)]:
+            assert a == a and not a != a
+            assert a != b and not a == b
+            assert hash(a) == hash(a)
+        assert len({spec, twin, back, spec, back}) == 3
+        assert generate(back, 50, 4) == generate(spec, 50, 4)
+
     def test_markov_with_a_transient_state_is_valid(self):
         spec = ProcessSpec.markov([[0.5, 0.5], [0.0, 1.0]])
         assert generate(spec, 100, 0).data.tolist() == [1] * 100
@@ -133,6 +153,13 @@ class TestProcessSpecValidation:
 class TestDeterministicKinds:
     def test_constant(self):
         assert generate(ProcessSpec.constant(0), 5, 99) == seq([0, 0, 0, 0, 0])
+
+    def test_constant_is_a_one_symbol_period(self):
+        spec = ProcessSpec.constant(2, alphabet_size=3)
+        assert (spec.kind, spec.pattern, spec.alphabet_size) == ("periodic", (2,), 3)
+        assert generate(spec, 4, 0) == seq([2, 2, 2, 2], A=3)
+        with pytest.raises(ValueError, match=r"pattern symbols must lie in 0\.\.1"):
+            ProcessSpec.constant(-1)
 
     def test_periodic_tiling_truncates(self):
         assert generate(ProcessSpec.periodic([0, 1]), 5, 99) == seq([0, 1, 0, 1, 0])

@@ -10,7 +10,6 @@ from lzwmetrics import (
     Alphabet,
     NumericSeries,
     SymbolSequence,
-    binarize_median,
     digitize_quantiles,
     shuffle,
 )
@@ -125,16 +124,21 @@ class TestPickle:
             pickle.loads(pickle.dumps(_TamperedPickle()))
 
 
+def median(samples):
+    """The median digitizer: quantile digitization at two levels."""
+    return digitize_quantiles(NumericSeries(samples), 2)
+
+
 class TestBinarizeMedian:
     def test_distinct_samples(self):
-        out = binarize_median(NumericSeries([1.0, 2.0, 3.0, 4.0]))
+        out = median([1.0, 2.0, 3.0, 4.0])
         assert out == seq([0, 0, 1, 1])
 
     def test_single_sample_maps_to_zero(self):
-        assert binarize_median(NumericSeries([5.0])) == seq([0])
+        assert median([5.0]) == seq([0])
 
     def test_ties_map_to_lower_symbol(self):
-        out = binarize_median(NumericSeries([7.0, 7.0, 7.0, 7.0]))
+        out = median([7.0, 7.0, 7.0, 7.0])
         assert out == seq([0, 0, 0, 0])
 
     def test_even_distinct_samples_split_exactly(self):
@@ -144,25 +148,25 @@ class TestBinarizeMedian:
         for _ in range(200):
             n = 2 * int(rng.integers(1, 200))
             samples = rng.permutation(rng.random(n))
-            out = binarize_median(NumericSeries(samples))
+            out = median(samples)
             assert int(out.data.sum()) == n // 2
 
     def test_samples_whose_sum_overflows(self):
-        out = binarize_median(NumericSeries([1e308, 1.5e308, 1.2e308, 1.7e308]))
+        out = median([1e308, 1.5e308, 1.2e308, 1.7e308])
         assert out == seq([0, 1, 0, 1])
-        out = binarize_median(NumericSeries([-1e308, -1.5e308, -1.2e308, -1.7e308]))
+        out = median([-1e308, -1.5e308, -1.2e308, -1.7e308])
         assert out == seq([1, 0, 1, 0])
 
     def test_samples_whose_difference_overflows(self):
-        assert binarize_median(NumericSeries([1.7e308, -1.7e308])) == seq([1, 0])
-        out = binarize_median(NumericSeries([-1e308, 1.5e308, -1.2e308, 1.7e308, 0.0]))
+        assert median([1.7e308, -1.7e308]) == seq([1, 0])
+        out = median([-1e308, 1.5e308, -1.2e308, 1.7e308, 0.0])
         assert out == seq([0, 1, 0, 1, 0])
 
     def test_odd_distinct_samples_split_off_by_one(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             n = 2 * int(rng.integers(1, 200)) + 1
-            out = binarize_median(NumericSeries(rng.random(n)))
+            out = median(rng.random(n))
             ones = int(out.data.sum())
             assert ones == (n - 1) // 2
 
@@ -180,9 +184,9 @@ class TestDigitizeQuantiles:
             same_sign = rng.choice([-1, 1]) * magnitudes
             mixed_signs = rng.choice([-1, 1], size) * magnitudes
             for samples in (ordinary, same_sign, mixed_signs):
-                series = NumericSeries(samples)
-                out = binarize_median(series)
-                assert digitize_quantiles(series, 2) == out
+                out = digitize_quantiles(NumericSeries(samples), 2)
+                # 1 exactly above the lower middle order statistic
+                assert out == seq(samples > np.sort(samples)[(size - 1) // 2])
                 # distinct samples: all above the middle one(s) map to 1
                 assert int(out.data.sum()) == size // 2
 
@@ -191,9 +195,7 @@ class TestDigitizeQuantiles:
         # upper sample, which lies strictly above the exact cut.
         a = np.nextafter(1.0, 2)
         b = np.nextafter(a, 2)
-        series = NumericSeries([a, b])
-        assert binarize_median(series) == seq([0, 1])
-        assert digitize_quantiles(series, 2) == seq([0, 1])
+        assert digitize_quantiles(NumericSeries([a, b]), 2) == seq([0, 1])
 
     def test_symbols_count_the_exact_linear_cuts_below(self):
         # Runs of consecutive floats, where the interpolated cuts round
@@ -218,7 +220,7 @@ class TestDigitizeQuantiles:
             out = digitize_quantiles(NumericSeries(samples), levels)
             assert out.data.tolist() == expected
             if levels == 2:
-                assert binarize_median(NumericSeries(samples)) == out
+                assert out == seq(samples > np.sort(samples)[(n - 1) // 2])
 
     def test_cut_points_across_the_float64_range(self):
         # each cut sits on a sample, but numpy still interpolates toward
