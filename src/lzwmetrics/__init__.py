@@ -10,18 +10,22 @@ analytic oracle.
 """
 
 from .entropy import (
-    DegenerateProcessError,
     EntropyProfile,
     Q_MAX_LIMIT,
-    analytic_entropy_rate,
     empirical_block_entropy,
     empirical_h0,
     empirical_hq,
     entropy_profile,
     h0_bernoulli,
-    stationary_distribution,
 )
-from .generators import ProcessSpec, generate, symmetric_binary_markov
+from .generators import (
+    DegenerateProcessError,
+    ProcessSpec,
+    analytic_entropy_rate,
+    generate,
+    stationary_distribution,
+    symmetric_binary_markov,
+)
 from .lzw import (
     CorruptStreamError,
     LzwResult,

@@ -200,9 +200,12 @@ def _parse_generator_spec(text: str) -> GeneratorInput:
     params: dict[str, str] = {}
     for part in parts:
         key, eq, value = part.partition("=")
+        key = key.strip()
         if not eq:
             raise ConfigError(f"bad generator parameter {part!r} in {text!r}")
-        params[key.strip()] = value.strip()
+        if key in params:
+            raise ConfigError(f"repeated generator parameter {key!r} in {text!r}")
+        params[key] = value.strip()
     try:
         n = int(params.pop("n"))
         if kind == "bernoulli":
@@ -211,7 +214,7 @@ def _parse_generator_spec(text: str) -> GeneratorInput:
             spec = symmetric_binary_markov(float(params.pop("eps")))
         elif kind == "markov-file":
             table = np.loadtxt(table_path, delimiter=",", ndmin=2, encoding="utf-8-sig")
-            spec = ProcessSpec.markov(table, alphabet_size=table.shape[1])
+            spec = ProcessSpec.markov(table)
         elif kind == "periodic":
             spec = ProcessSpec.periodic([int(ch) for ch in params.pop("pattern")])
         elif kind == "constant":
@@ -410,7 +413,9 @@ def _load_csv_series(path: str, column: str | None) -> NumericSeries:
     """Read one CSV column: one ``np.loadtxt`` call, or the row loop.
 
     The vectorized read runs only on files :func:`_plain_csv` passes, and
-    after the same header sniff as the row loop.
+    after the same header sniff as the row loop.  Its series is built inside
+    the ``try``, so a NaN sample too sends the file to the row loop, which
+    cites its line.
     """
     if _plain_csv(path):
         try:
@@ -421,14 +426,13 @@ def _load_csv_series(path: str, column: str | None) -> NumericSeries:
                 path, delimiter=",", skiprows=reader.line_num - 1, usecols=index,
                 comments=None, encoding="utf-8-sig", dtype=np.float64, ndmin=1,
             )
+            return NumericSeries(samples)
         except Exception:
             # loadtxt accepts less than float() does ("1_0", non-ASCII
             # digits, whitespace-only rows), and its errors read differently.
             # Whatever failed, the row loop rereads the file: it gives the
             # samples, or the load error with its own message.
             pass
-        else:
-            return NumericSeries(samples)
     return _read_csv_rows(path, column)
 
 
@@ -450,11 +454,14 @@ def _read_csv_rows(path: str, column: str | None) -> NumericSeries:
                     raise ValueError(f"{path}: line {reader.line_num} has no column {index}")
                 cell = row[index].strip()
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ValueError(
                         f"{path}: cannot parse sample {cell!r} at line {reader.line_num}"
                     ) from None
+                if value != value:  # NaN, the one float unequal to itself
+                    raise ValueError(f"{path}: NaN sample {cell!r} at line {reader.line_num}")
+                values.append(value)
         except csv.Error as exc:
             # e.g. a field over csv.field_size_limit(); not a ValueError
             raise ValueError(f"{path}: {exc} at line {reader.line_num}") from None

@@ -1,59 +1,36 @@
-"""Entropy estimators and analytic entropy rates for generator processes.
+"""Entropy estimators over symbol sequences.
 
 Block entropies are plug-in estimates over overlapping q-grams; the order-q
 conditional entropy is the difference of consecutive block entropies,
-clamped at zero.  All values are in bits.  For synthetic processes whose law
-is known exactly, :func:`analytic_entropy_rate` returns the true entropy
-rate.  The LZW compression ratio approaches it from above.  The plug-in
-conditional entropies do only while A**(q+1) is small against n; past that
-they fall below it, as sparse q-gram counts look more predictable than the
-source (an order-1 chain over A = 20 at n = 10**6 puts hq_3 0.035 bits
-under the rate).
+clamped at zero.  All values are in bits.  The plug-in conditional
+entropies estimate a stationary source's entropy rate from above only
+while A**(q+1) is small against n; past that they fall below it, as sparse
+q-gram counts look more predictable than the source (an order-1 chain over
+A = 20 at n = 10**6 puts hq_3 0.035 bits under the rate).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .sequence import SymbolSequence
 
-if TYPE_CHECKING:
-    from .generators import ProcessSpec
-
 __all__ = [
     "EntropyProfile",
-    "DegenerateProcessError",
     "Q_MAX_LIMIT",
     "h0_bernoulli",
     "empirical_h0",
     "empirical_block_entropy",
     "empirical_hq",
     "entropy_profile",
-    "analytic_entropy_rate",
-    "stationary_distribution",
 ]
 
 # Beyond this order the plug-in estimates are noise at any realistic n; the
 # limit bounds noise, not memory, which does not grow with q.
 Q_MAX_LIMIT = 16
-
-# The damped step stops once it moves pi by at most this much in L1, a few
-# units of float64 rounding on a unit-mass vector.  A chain that has not
-# mixed still moves pi by about its spectral gap times the distance left,
-# so a slow chain runs into the cap instead of stopping early; only a gap
-# near 1e-15 per step could hide a sizable error below this step.
-_POWER_TOL = 1e-15
-_POWER_MAX_ITERS = 10**6
-
-_ROW_SUM_TOL = 1e-12
-
-
-class DegenerateProcessError(ValueError):
-    """The process has no unique stationary distribution."""
 
 
 @dataclass(frozen=True)
@@ -183,106 +160,3 @@ def entropy_profile(seq: SymbolSequence, q_max: int) -> EntropyProfile:
     blocks = _block_entropies(seq, 1, q_max + 1)
     hq = tuple(_conditional(lo, hi) for lo, hi in zip(blocks, blocks[1:]))
     return EntropyProfile(h0=blocks[0], hq=hq, q_max=q_max)
-
-
-def _hops(start: int, neighbours: np.ndarray) -> np.ndarray:
-    """Hops from ``start`` to each state along rows of ``neighbours``, -1 if unreached."""
-    hops = np.full(len(neighbours), -1)
-    frontier, depth = [start], 0
-    while frontier:
-        hops[frontier] = depth
-        found = neighbours[frontier].ravel()
-        # A set, not np.unique (which imports numpy.ma, about 1 MiB resident)
-        # or np.sort (about 0.3 MiB of kernel pages) in every chain's run.
-        frontier, depth = list(set(found[hops[found] < 0].tolist())), depth + 1
-    return hops
-
-
-def _closed_class(table: np.ndarray, A: int, order: int) -> np.ndarray:
-    """Mask of the one closed class of the composite-state chain of a valid table.
-
-    State s moves to (s mod A**(m-1))*A + y through slot y, and state t is
-    entered from x*A**(m-1) + t//A through slot t mod A; a slot of
-    probability 0 leads back to its own state instead, which adds no reach.
-    From r = 0, while some state cannot reach r, r moves to a state r
-    reaches that cannot reach r back, whose forward set is strictly
-    smaller.  If there is none, r's class is closed and the states that
-    cannot reach it lead to another closed class, so
-    :class:`DegenerateProcessError` is raised.  Once every state reaches r,
-    the closed class is unique and equals r's forward set.
-    """
-    states = np.arange(A**order)[:, None]
-    successors = np.where(table > 0, states % A ** (order - 1) * A + np.arange(A), states)
-    sources = np.arange(A) * A ** (order - 1) + states // A
-    predecessors = np.where(table[sources, states % A] > 0, sources, states)
-    r = 0
-    while not (behind := _hops(r, predecessors) >= 0).all():
-        # r moves to the farthest escape, so a transient path into a cycle
-        # is left in one move instead of one move per state on it.
-        escapes = np.where(behind, -1, _hops(r, successors))
-        if escapes.max() < 0:
-            raise DegenerateProcessError("stationary distribution is not unique")
-        r = int(np.argmax(escapes))
-    return _hops(r, successors) >= 0
-
-
-def stationary_distribution(
-    transition_table: np.ndarray, alphabet_size: int, order: int
-) -> np.ndarray:
-    """Stationary law of the composite-state chain behind an order-m table.
-
-    ``transition_table`` holds one next-symbol distribution per A**m
-    composite state; the induced state chain shifts the oldest symbol out
-    and the sampled one in.  A table of the wrong shape, with a negative
-    entry or with a row whose sum is not within 1e-12 of 1 (a NaN included)
-    raises ``ValueError``.  The law is unique exactly when the support
-    graph has one closed class, which is checked next; otherwise
-    :class:`DegenerateProcessError` is raised.  Damped power iteration
-    (averaging each iterate with its successor keeps the fixed points and
-    suppresses periodic oscillation) then starts from the uniform law on
-    that class.  No mass leaves the class, so transient states get exactly
-    0.  The iteration stops at an L1 step of 1e-15, near float64 rounding,
-    so a chain that mixes too slowly to settle within 10**6 steps raises
-    :class:`DegenerateProcessError` instead of returning a law it has not
-    reached.  :class:`~lzwmetrics.generators.ProcessSpec` calls this once
-    and keeps the law for sampling and for :func:`analytic_entropy_rate`.
-    """
-    table = np.asarray(transition_table, dtype=np.float64)
-    n_states, A = shape = (alphabet_size**order, alphabet_size)
-    if table.shape != shape:
-        raise ValueError(f"transition table must have shape {shape}, got {table.shape}")
-    if (table < 0).any():
-        raise ValueError("transition probabilities must be non-negative")
-    # Written so that a NaN sum, which compares false, fails the check.
-    if not (np.abs(table.sum(axis=1) - 1.0) <= _ROW_SUM_TOL).all():
-        raise ValueError("transition rows must each sum to 1")
-    closed = _closed_class(table, A, order)
-    pi = closed / np.count_nonzero(closed)
-    targets = ((np.arange(n_states) % (n_states // A))[:, None] * A + np.arange(A)).ravel()
-    for _ in range(_POWER_MAX_ITERS):
-        flow = (pi[:, None] * table).ravel()
-        new = 0.5 * (pi + np.bincount(targets, weights=flow, minlength=n_states))
-        new /= new.sum()
-        if np.abs(new - pi).sum() <= _POWER_TOL:
-            return new
-        pi = new
-    raise DegenerateProcessError(
-        f"power iteration did not converge on {n_states} states in {_POWER_MAX_ITERS} steps"
-    )
-
-
-def analytic_entropy_rate(spec: "ProcessSpec") -> float:
-    """Exact entropy rate in bits/symbol of a generator specification.
-
-    Bernoulli(p) has rate equal to the binary entropy of p; an order-m
-    Markov chain has rate sum_s pi(s) * H(row_s) with pi the stationary
-    distribution that the spec keeps from its construction; periodic
-    processes, constant ones included, are deterministic and have rate 0.
-    """
-    kind = spec.kind
-    if kind == "bernoulli":
-        return h0_bernoulli(spec.p)
-    if kind == "markov":
-        row_h = np.array([_entropy_bits(row[row > 0], 1) for row in spec.transition_table])
-        return float(spec._stationary @ row_h)
-    return 0.0

@@ -1,10 +1,13 @@
-"""Seeded synthetic stochastic processes with known entropy rates.
+"""Seeded synthetic stochastic processes, their laws and their entropy rates.
 
 These generators serve double duty: verification oracles for the
 convergence of LZW description length toward the entropy rate, and demo
-sources for the command line.  Every ``generate`` call is a pure function
-of (spec, n, seed); periodic specs, constant ones included, consume no
-randomness at all.
+sources for the command line.  A :class:`ProcessSpec` is checked when it is
+built, a Markov one by solving its stationary law once;
+:func:`analytic_entropy_rate` gives its exact rate, which the LZW
+compression ratio approaches from above.  Every ``generate`` call is a pure
+function of (spec, n, seed); periodic specs, constant ones included,
+consume no randomness at all.
 """
 
 from __future__ import annotations
@@ -14,14 +17,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import stationary_distribution
+from .entropy import _entropy_bits, h0_bernoulli
 from .sequence import Alphabet, SymbolSequence, _symbol_dtype
 
 __all__ = [
+    "DegenerateProcessError",
     "ProcessSpec",
+    "stationary_distribution",
+    "analytic_entropy_rate",
     "symmetric_binary_markov",
     "generate",
 ]
+
+# The fields each kind sets besides ``alphabet_size``; the others stay None.
+_KIND_FIELDS = {
+    "bernoulli": ("p",),
+    "markov": ("order", "transition_table"),
+    "periodic": ("pattern",),
+}
 
 # Composite-state count cap for order-m chains; A**m beyond this makes the
 # stationary-distribution computation and sampling tables unreasonable.
@@ -36,6 +49,105 @@ _MAX_STATES = 65536
 # drew at the same speed in the per-symbol loop, and 2^18 or more was slower.
 _DRAW_CHUNK = 1 << 16
 
+# The damped step stops once it moves pi by at most this much in L1, a few
+# units of float64 rounding on a unit-mass vector.  A chain that has not
+# mixed still moves pi by about its spectral gap times the distance left,
+# so a slow chain runs into the cap instead of stopping early; only a gap
+# near 1e-15 per step could hide a sizable error below this step.
+_POWER_TOL = 1e-15
+_POWER_MAX_ITERS = 10**6
+
+_ROW_SUM_TOL = 1e-12
+
+
+class DegenerateProcessError(ValueError):
+    """The process has no unique stationary distribution."""
+
+
+def _hops(start: int, neighbours: np.ndarray) -> np.ndarray:
+    """Hops from ``start`` to each state along rows of ``neighbours``, -1 if unreached."""
+    hops = np.full(len(neighbours), -1)
+    frontier, depth = [start], 0
+    while frontier:
+        hops[frontier] = depth
+        found = neighbours[frontier].ravel()
+        # A set, not np.unique (which imports numpy.ma, about 1 MiB resident)
+        # or np.sort (about 0.3 MiB of kernel pages) in every chain's run.
+        frontier, depth = list(set(found[hops[found] < 0].tolist())), depth + 1
+    return hops
+
+
+def _closed_class(table: np.ndarray, A: int, order: int) -> np.ndarray:
+    """Mask of the one closed class of the composite-state chain of a valid table.
+
+    State s moves to (s mod A**(m-1))*A + y through slot y, and state t is
+    entered from x*A**(m-1) + t//A through slot t mod A; a slot of
+    probability 0 leads back to its own state instead, which adds no reach.
+    From r = 0, while some state cannot reach r, r moves to a state r
+    reaches that cannot reach r back, whose forward set is strictly
+    smaller.  If there is none, r's class is closed and the states that
+    cannot reach it lead to another closed class, so
+    :class:`DegenerateProcessError` is raised.  Once every state reaches r,
+    the closed class is unique and equals r's forward set.
+    """
+    states = np.arange(A**order)[:, None]
+    successors = np.where(table > 0, states % A ** (order - 1) * A + np.arange(A), states)
+    sources = np.arange(A) * A ** (order - 1) + states // A
+    predecessors = np.where(table[sources, states % A] > 0, sources, states)
+    r = 0
+    while not (behind := _hops(r, predecessors) >= 0).all():
+        # r moves to the farthest escape, so a transient path into a cycle
+        # is left in one move instead of one move per state on it.
+        escapes = np.where(behind, -1, _hops(r, successors))
+        if escapes.max() < 0:
+            raise DegenerateProcessError("stationary distribution is not unique")
+        r = int(np.argmax(escapes))
+    return _hops(r, successors) >= 0
+
+
+def stationary_distribution(
+    transition_table: np.ndarray, alphabet_size: int, order: int
+) -> np.ndarray:
+    """Stationary law of the composite-state chain behind an order-m table.
+
+    ``transition_table`` holds one next-symbol distribution per A**m
+    composite state; the induced state chain shifts the oldest symbol out
+    and the sampled one in.  A table of the wrong shape, with a negative
+    entry or with a row whose sum is not within 1e-12 of 1 (a NaN included)
+    raises ``ValueError``.  The law is unique exactly when the support
+    graph has one closed class, which is checked next; otherwise
+    :class:`DegenerateProcessError` is raised.  Damped power iteration
+    (averaging each iterate with its successor keeps the fixed points and
+    suppresses periodic oscillation) then starts from the uniform law on
+    that class.  No mass leaves the class, so transient states get exactly
+    0.  The iteration stops at an L1 step of 1e-15, near float64 rounding,
+    so a chain that mixes too slowly to settle within 10**6 steps raises
+    :class:`DegenerateProcessError` instead of returning a law it has not
+    reached.
+    """
+    table = np.asarray(transition_table, dtype=np.float64)
+    n_states, A = shape = (alphabet_size**order, alphabet_size)
+    if table.shape != shape:
+        raise ValueError(f"transition table must have shape {shape}, got {table.shape}")
+    if (table < 0).any():
+        raise ValueError("transition probabilities must be non-negative")
+    # Written so that a NaN sum, which compares false, fails the check.
+    if not (np.abs(table.sum(axis=1) - 1.0) <= _ROW_SUM_TOL).all():
+        raise ValueError("transition rows must each sum to 1")
+    closed = _closed_class(table, A, order)
+    pi = closed / np.count_nonzero(closed)
+    targets = ((np.arange(n_states) % (n_states // A))[:, None] * A + np.arange(A)).ravel()
+    for _ in range(_POWER_MAX_ITERS):
+        flow = (pi[:, None] * table).ravel()
+        new = 0.5 * (pi + np.bincount(targets, weights=flow, minlength=n_states))
+        new /= new.sum()
+        if np.abs(new - pi).sum() <= _POWER_TOL:
+            return new
+        pi = new
+    raise DegenerateProcessError(
+        f"power iteration did not converge on {n_states} states in {_POWER_MAX_ITERS} steps"
+    )
+
 
 @dataclass(frozen=True, eq=False)
 class ProcessSpec:
@@ -44,14 +156,11 @@ class ProcessSpec:
     ``kind`` selects the family and the matching fields must be set:
     ``bernoulli`` needs ``p``, ``markov`` needs ``order`` and a row-stochastic
     ``transition_table`` over A**order states by A symbols, ``periodic``
-    needs ``pattern``.  The classmethod constructors fill in the
-    bookkeeping; :meth:`constant` is a periodic spec with a one-symbol
-    pattern.  A Markov spec keeps a read-only copy of its table and the
-    stationary law that :func:`~lzwmetrics.entropy.stationary_distribution`
-    computes from it once, at construction, and that function's checks
-    apply: a table that is not stochastic raises ``ValueError``; a chain
-    with no unique stationary law, or one that mixes too slowly to settle
-    on it, raises :class:`DegenerateProcessError`.
+    needs ``pattern``; a field of another kind raises ``ValueError``.  The
+    classmethod constructors fill in the bookkeeping; :meth:`constant` is a
+    periodic spec with a one-symbol pattern.  A Markov spec keeps a
+    read-only copy of its table and the law :func:`stationary_distribution`
+    solves from it once, at construction, with that function's errors.
 
     Specs compare and hash by identity, as plain objects do: a spec equals
     itself (and nothing else) and can key a dict or sit in a set, whatever
@@ -72,6 +181,15 @@ class ProcessSpec:
         A = self.alphabet_size
         if A < 2:
             raise ValueError(f"alphabet size must be at least 2, got {A}")
+        if self.kind not in _KIND_FIELDS:
+            raise ValueError(f"unknown process kind: {self.kind!r}")
+        stray = [
+            name
+            for name in ("p", "order", "transition_table", "pattern")
+            if name not in _KIND_FIELDS[self.kind] and getattr(self, name) is not None
+        ]
+        if stray:
+            raise ValueError(f"{self.kind} processes take no {', '.join(stray)}")
         if self.kind == "bernoulli":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"bernoulli requires p in [0, 1], got {self.p}")
@@ -89,15 +207,13 @@ class ProcessSpec:
             table.flags.writeable = pi.flags.writeable = False
             object.__setattr__(self, "transition_table", table)
             object.__setattr__(self, "_stationary", pi)
-        elif self.kind == "periodic":
+        else:  # periodic
             if not self.pattern:
                 raise ValueError("periodic pattern must be non-empty")
             pattern = tuple(int(s) for s in self.pattern)
             if any(not 0 <= s < A for s in pattern):
                 raise ValueError(f"pattern symbols must lie in 0..{A - 1}")
             object.__setattr__(self, "pattern", pattern)
-        else:
-            raise ValueError(f"unknown process kind: {self.kind!r}")
 
     def __setstate__(self, state: dict) -> None:
         # Unpickled and copied arrays come back writeable; the table and its
@@ -113,18 +229,17 @@ class ProcessSpec:
         return cls(kind="bernoulli", alphabet_size=2, p=float(p))
 
     @classmethod
-    def markov(cls, transition_table, alphabet_size: int = 2) -> "ProcessSpec":
-        """Order-m chain; m is inferred from the table's row count."""
+    def markov(cls, transition_table) -> "ProcessSpec":
+        """Order-m chain over the table's columns; m is inferred from its row count."""
         table = np.asarray(transition_table, dtype=np.float64)
         if table.ndim != 2:
             raise ValueError("transition table must be two-dimensional")
-        A = alphabet_size
-        rows = table.shape[0]
+        rows, A = table.shape
+        if A < 2:
+            raise ValueError(f"alphabet size must be at least 2, got {A}")
         order = max(1, round(np.log(rows) / np.log(A))) if rows > 1 else 1
         if A**order != rows:
-            raise ValueError(
-                f"row count {rows} is not a power of the alphabet size {A}"
-            )
+            raise ValueError(f"row count {rows} is not a power of the alphabet size {A}")
         return cls(kind="markov", alphabet_size=A, order=order, transition_table=table)
 
     @classmethod
@@ -139,6 +254,23 @@ class ProcessSpec:
     def constant(cls, symbol: int = 0, alphabet_size: int = 2) -> "ProcessSpec":
         """A single symbol repeated forever: a period of one symbol."""
         return cls.periodic([symbol], alphabet_size)
+
+
+def analytic_entropy_rate(spec: ProcessSpec) -> float:
+    """Exact entropy rate in bits/symbol of a generator specification.
+
+    Bernoulli(p) has rate equal to the binary entropy of p; an order-m
+    Markov chain has rate sum_s pi(s) * H(row_s) with pi the spec's
+    stationary law; periodic processes, constant ones included, are
+    deterministic and have rate 0.
+    """
+    kind = spec.kind
+    if kind == "bernoulli":
+        return h0_bernoulli(spec.p)
+    if kind == "markov":
+        row_h = np.array([_entropy_bits(row[row > 0], 1) for row in spec.transition_table])
+        return float(spec._stationary @ row_h)
+    return 0.0
 
 
 def symmetric_binary_markov(flip_probability: float) -> ProcessSpec:
@@ -159,9 +291,9 @@ def symmetric_binary_markov(flip_probability: float) -> ProcessSpec:
 def generate(spec: ProcessSpec, n: int, seed: int) -> SymbolSequence:
     """Draw a length-n realization, deterministic in (spec, n, seed).
 
-    Markov runs start from a composite state drawn from the stationary
-    distribution that the spec solved once when it was built, so the
-    sample is stationary from its first symbol and needs no burn-in.
+    Markov runs start from a composite state drawn from the spec's
+    stationary law, so the sample is stationary from its first symbol and
+    needs no burn-in.
     Randomness comes from numpy's ``default_rng`` (PCG64) seeded with
     ``seed``.  Bernoulli and Markov sampling draw their
     uniforms in fixed-size chunks from that one stream, which yields the

@@ -251,15 +251,33 @@ class TestGeneratorInput:
     def test_chain_that_does_not_settle_is_config_error(self, tmp_path, capsys, monkeypatch):
         # The law is solved when the spec is built, before any input is read,
         # so a chain that runs into the step cap fails the configuration.
-        from lzwmetrics import entropy
+        from lzwmetrics import generators
 
-        monkeypatch.setattr(entropy, "_POWER_MAX_ITERS", 10**3)
+        monkeypatch.setattr(generators, "_POWER_MAX_ITERS", 10**3)
         table = tmp_path / "slow.csv"
         table.write_text("0.99999,0.00001\n0.00002,0.99998\n")
         code, out, err = run_cli(capsys, "--generate", f"markov-file:{table},n=100")
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert "did not converge" in err
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("markov:eps=0.1,n=2000,n=1000,eps=0.3", "n"),
+            ("bernoulli:p=0.5, n=10,p =0.4", "p"),
+            ("markov-file:{table},n=10,n=20", "n"),
+            ("constant:symbol=0,n=10,symbol=0", "symbol"),
+        ],
+        ids=["markov", "bernoulli", "markov-file", "constant"],
+    )
+    def test_repeated_generator_parameter_is_config_error(self, tmp_path, capsys, spec, key):
+        table = tmp_path / "chain.csv"
+        table.write_text("0.9,0.1\n0.2,0.8\n")
+        spec = spec.format(table=table)
+        code, out, err = run_cli(capsys, "--generate", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: repeated generator parameter {key!r} in {spec!r}\n"
 
     def test_bad_generator_spec_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "--generate", "bernoulli:p=0.5")
@@ -375,6 +393,16 @@ class TestCsvInput:
         assert code == 1
         assert out == ""
         assert "NaN" in json_lines(err)[0]["error"]
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["vectorized", "row-loop"])
+    def test_nan_sample_cites_the_file_line(self, tmp_path, quote):
+        path = tmp_path / "holes.csv"
+        path.write_text(f"value\n1.0\n\n{quote}nan{quote}\n3.0\n")
+        message = f"{path}: NaN sample 'nan' at line 4"
+        for load in (cli._load_csv_series, cli._read_csv_rows):
+            with pytest.raises(ValueError) as info:
+                load(str(path), None)
+            assert str(info.value) == message
 
     def test_error_cites_the_file_line(self, tmp_path, capsys):
         path = tmp_path / "gaps.csv"

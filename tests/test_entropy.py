@@ -22,7 +22,7 @@ from lzwmetrics import (
     stationary_distribution,
     symmetric_binary_markov,
 )
-from lzwmetrics import entropy
+from lzwmetrics import generators
 
 from oracles import gram_entropy_bits, stationary_by_eigendecomposition
 
@@ -82,7 +82,7 @@ class TestEmpiricalH0:
             empirical_h0(constant),
             empirical_block_entropy(constant, 3),
             *entropy_profile(constant, 2).hq,
-            analytic_entropy_rate(ProcessSpec.markov(np.array([[0.0, 1.0], [1.0, 0.0]]), 2)),
+            analytic_entropy_rate(ProcessSpec.markov(np.array([[0.0, 1.0], [1.0, 0.0]]))),
         ]
         assert [math.copysign(1.0, v) for v in values] == [1.0] * len(values)
 
@@ -295,7 +295,7 @@ class TestStationaryDistribution:
         assert not isinstance(info.value, DegenerateProcessError)
 
     def test_non_convergence_names_the_state_count_and_the_cap(self, monkeypatch):
-        monkeypatch.setattr(entropy, "_POWER_MAX_ITERS", 3)
+        monkeypatch.setattr(generators, "_POWER_MAX_ITERS", 3)
         with pytest.raises(DegenerateProcessError, match="on 2 states in 3 steps"):
             stationary_distribution([[0.9, 0.1], [0.2, 0.8]], 2, 1)
 
@@ -303,7 +303,7 @@ class TestStationaryDistribution:
         # From the uniform start the first step moves pi by only 1e-13, yet
         # the law is [0.75, 0.25]; the drift stays near 1e-13 per step for
         # about 1e12 steps, so a lower cap ends the same way, only sooner.
-        monkeypatch.setattr(entropy, "_POWER_MAX_ITERS", 10**4)
+        monkeypatch.setattr(generators, "_POWER_MAX_ITERS", 10**4)
         table = [[1 - 1e-13, 1e-13], [3e-13, 1 - 3e-13]]
         rate = 0.75 * h0_bernoulli(1e-13) + 0.25 * h0_bernoulli(3e-13)
         for solve, exact in (

@@ -11,6 +11,8 @@ from lzwmetrics import (
     ProcessSpec,
     SymbolSequence,
     analytic_entropy_rate,
+    empirical_hq,
+    encode,
     generate,
     h0_bernoulli,
     stationary_distribution,
@@ -42,7 +44,31 @@ class TestProcessSpecValidation:
 
     def test_markov_shape_must_match_alphabet(self):
         with pytest.raises(ValueError):
-            ProcessSpec.markov(np.full((3, 2), 0.5), alphabet_size=2)
+            ProcessSpec.markov(np.full((3, 2), 0.5))
+
+    def test_markov_alphabet_is_the_table_column_count(self):
+        spec = ProcessSpec.markov(np.full((3, 3), 1 / 3))
+        assert (spec.alphabet_size, spec.order) == (3, 1)
+        spec = ProcessSpec.markov(np.full((9, 3), 1 / 3))
+        assert (spec.alphabet_size, spec.order) == (3, 2)
+
+    @pytest.mark.parametrize("columns", [0, 1])
+    def test_markov_table_needs_two_columns(self, columns):
+        with pytest.raises(ValueError, match=f"alphabet size must be at least 2, got {columns}"):
+            ProcessSpec.markov(np.ones((1, columns)))
+
+    @pytest.mark.parametrize(
+        "fields, stray",
+        [
+            (dict(kind="bernoulli", p=0.5, pattern=(1, 1, 1)), "pattern"),
+            (dict(kind="markov", order=1, transition_table=np.full((2, 2), 0.5), p=0.5), "p"),
+            (dict(kind="periodic", pattern=(0, 1), p=0.9, order=1), "p, order"),
+        ],
+        ids=["bernoulli", "markov", "periodic"],
+    )
+    def test_fields_of_another_kind_are_rejected(self, fields, stray):
+        with pytest.raises(ValueError, match=f"^{fields['kind']} processes take no {stray}$"):
+            ProcessSpec(**fields)
 
     def test_markov_shape_must_match_the_order(self):
         with pytest.raises(ValueError, match=r"must have shape \(4, 2\), got \(2, 2\)"):
@@ -63,10 +89,8 @@ class TestProcessSpecValidation:
         "build",
         [
             lambda: symmetric_binary_markov(0.0),
-            lambda: ProcessSpec.markov(np.eye(3), alphabet_size=3),
-            lambda: ProcessSpec.markov(
-                [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]], alphabet_size=3
-            ),
+            lambda: ProcessSpec.markov(np.eye(3)),
+            lambda: ProcessSpec.markov([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]),
         ],
         ids=["eps-0", "identity", "two-classes"],
     )
@@ -77,10 +101,10 @@ class TestProcessSpecValidation:
     def test_closed_class_is_found_once_per_spec(self, monkeypatch):
         # One solve, at construction, and one closed-class search inside it;
         # sampling and the analytic rate read the law the spec keeps.
-        from lzwmetrics import entropy, generators
+        from lzwmetrics import generators
 
         calls = []
-        real_search, real_solve = entropy._closed_class, entropy.stationary_distribution
+        real_search, real_solve = generators._closed_class, generators.stationary_distribution
 
         def search(*args):
             calls.append("search")
@@ -90,8 +114,7 @@ class TestProcessSpecValidation:
             calls.append("solve")
             return real_solve(*args)
 
-        monkeypatch.setattr(entropy, "_closed_class", search)
-        monkeypatch.setattr(entropy, "stationary_distribution", solve)
+        monkeypatch.setattr(generators, "_closed_class", search)
         monkeypatch.setattr(generators, "stationary_distribution", solve)
         spec = ProcessSpec.markov(np.full((16, 2), 0.5))
         generate(spec, 100, 0)
@@ -200,7 +223,7 @@ class TestRandomKinds:
             older = state >> 1
             table[state, older] = 0.9
             table[state, 1 - older] = 0.1
-        spec = ProcessSpec.markov(table, alphabet_size=2)
+        spec = ProcessSpec.markov(table)
         assert spec.order == 2
         s = generate(spec, 2 * 10**5, 8)
         pairs = s.data[:-1] * 2 + s.data[1:]
@@ -213,7 +236,7 @@ class TestRandomKinds:
         "spec",
         [
             symmetric_binary_markov(0.1),
-            ProcessSpec.markov(np.random.default_rng(3).dirichlet(np.ones(3), 9), 3),
+            ProcessSpec.markov(np.random.default_rng(3).dirichlet(np.ones(3), 9)),
         ],
         ids=["order-1 binary", "order-2 ternary"],
     )
@@ -271,3 +294,29 @@ class TestSpecEntropyRate:
             assert analytic_entropy_rate(symmetric_binary_markov(eps)) == pytest.approx(
                 h0_bernoulli(eps), abs=1e-12
             )
+
+
+def _rate_tables():
+    rng = np.random.default_rng(8)
+    return [
+        (np.tile(rng.dirichlet(np.ones(4)), (4, 1)), 1),  # i.i.d.: equal rows
+        (rng.dirichlet(np.full(3, 0.5), 9), 2),
+        # A = 20 runs the hashed parse kernel and the per-symbol sampler.
+        (rng.dirichlet(np.full(20, 0.3), 20), 1),
+    ]
+
+
+class TestRatesBeyondBinarySources:
+    @pytest.mark.parametrize("table, m", _rate_tables(), ids=["iid-A4", "order2-A3", "order1-A20"])
+    def test_rho0_falls_toward_the_rate_and_hq_meets_it(self, table, m):
+        # Order, not tuned envelopes: rho0 stays above h and its excess
+        # falls with n, one seed per n, and the plug-in hq at the chain's
+        # own order, where A**(m+1) is far below n, lies on h.
+        spec = ProcessSpec.markov(table)
+        h = analytic_entropy_rate(spec)
+        excess = []
+        for seed, n in enumerate((10**4, 10**5, 10**6)):
+            s = generate(spec, n, seed)
+            excess.append(encode(s).description_length_bits / n - h)
+        assert 0 < excess[2] < excess[1] < excess[0]
+        assert abs(empirical_hq(s, m) - h) < 0.01

@@ -223,7 +223,7 @@ def test_markov_draw_past_a_short_row_total_lands_on_a_positive_symbol():
     # 1 - 2^-53 lies past its total and must not pick symbol 2, whose
     # probability is 0.
     row = [0.7, 0.3 - 2**-50, 0.0]
-    spec = ProcessSpec.markov([row] * 3, alphabet_size=3)
+    spec = ProcessSpec.markov([row] * 3)
     pi = stationary_distribution(spec.transition_table, 3, 1)
     draws = np.array([0.0, 1 - 2**-53])
     assert _sample_markov(spec, 2, _Uniforms(draws)).tolist() == [0, 1]
@@ -257,7 +257,7 @@ def markov_cases(draw):
     length = draw(st.sampled_from(list(lengths)))
     n = lengths[length]
     seed = draw(st.integers(0, 2**63))
-    return ProcessSpec.markov(table, alphabet_size=A), n, seed, length
+    return ProcessSpec.markov(table), n, seed, length
 
 
 def _two_state_examples(test):
@@ -338,10 +338,10 @@ def test_stationary_law_is_unique_exactly_when_one_class_is_closed(case):
         with pytest.raises(DegenerateProcessError, match="not unique"):
             stationary_distribution(table, A, m)
         with pytest.raises(DegenerateProcessError):
-            ProcessSpec.markov(table, alphabet_size=A)
+            ProcessSpec.markov(table)
         return
     pi = stationary_distribution(table, A, m)
-    ProcessSpec.markov(table, alphabet_size=A)
+    ProcessSpec.markov(table)
     assert np.abs(pi - stationary_by_eigendecomposition(table, A, m)).max() <= 1e-9
     outside = np.ones(A**m, dtype=bool)
     outside[list(classes[0])] = False
