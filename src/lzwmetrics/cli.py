@@ -16,9 +16,9 @@ Unit order, and therefore output bytes, are deterministic: paths sort
 lexicographically and windows by index.  Units stream: one input is loaded
 and cut at a time, and reports are written in unit order, each flushed as
 soon as its unit and all earlier ones are done.  Failed units, a
-``MemoryError`` in a unit's load or analysis included, are logged to stderr
-in unit order, and the run continues.  A closed stdout ends the run
-with exit status 1.
+``MemoryError`` in a unit's load, digitizing or analysis included, are
+logged to stderr in unit order, and the run continues.  A closed stdout
+ends the run with exit status 1.
 
 Each unit is analyzed as tasks: a base report (parse and entropy profile)
 and one description length per shuffle surrogate.  Once a run with
@@ -46,7 +46,7 @@ from functools import partial
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -67,25 +67,16 @@ class ConfigError(ValueError):
     """Contradictory or malformed run configuration; aborts before any unit."""
 
 
-class GeneratorInput(NamedTuple):
-    """A parsed ``--generate`` spec: its text (the report source), process and length."""
-
-    label: str
-    spec: ProcessSpec
-    n: int
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved configuration for one batch run."""
+    """Fully resolved configuration for one batch run.  ``load`` reads one
+    of the ``sources`` (in unit order: a ``--generate`` spec's text, or
+    files) and raises OSError, ValueError or MemoryError if it fails."""
 
-    input_path: str | None
-    generator: GeneratorInput | None
-    input_format: str
-    column: str | None
+    sources: list[str]
+    load: Callable[[str], SymbolSequence | NumericSeries]
     # Quantile levels of the digitizer (median is 2), None for symbol input.
     digitizer_levels: int | None
-    alphabet_size: int
     window_length: int | None
     q_max: int
     surrogates: int
@@ -189,14 +180,19 @@ def _parse_digitizer(text: str) -> int | None:
     raise ConfigError(f"unknown digitizer {text!r} (use median, quantiles:K, or none)")
 
 
-def _parse_generator_spec(text: str) -> GeneratorInput:
+def _parse_generator_spec(text: str) -> tuple[ProcessSpec, int]:
+    """The process and length of a ``--generate`` spec."""
     kind, sep, rest = text.partition(":")
+    if kind not in ("bernoulli", "markov", "markov-file", "periodic", "constant"):
+        raise ConfigError(f"unknown generator kind {kind!r}")
     if not sep or not rest:
         raise ConfigError(f"generator spec needs parameters: {text!r}")
     parts = rest.split(",")
     table_path = None
     if kind == "markov-file":
-        table_path, parts = parts[0], parts[1:]
+        # The path ends before the first later part with "=": it may hold commas.
+        end = next((i for i in range(1, len(parts)) if "=" in parts[i]), len(parts))
+        table_path, parts = ",".join(parts[:end]), parts[end:]
     params: dict[str, str] = {}
     for part in parts:
         key, eq, value = part.partition("=")
@@ -217,10 +213,8 @@ def _parse_generator_spec(text: str) -> GeneratorInput:
             spec = ProcessSpec.markov(table)
         elif kind == "periodic":
             spec = ProcessSpec.periodic([int(ch) for ch in params.pop("pattern")])
-        elif kind == "constant":
+        else:  # constant
             spec = ProcessSpec.constant(int(params.pop("symbol", "0")))
-        else:
-            raise ConfigError(f"unknown generator kind {kind!r}")
     except KeyError as exc:
         raise ConfigError(f"generator spec {text!r} is missing parameter {exc}") from None
     except OSError as exc:
@@ -231,7 +225,7 @@ def _parse_generator_spec(text: str) -> GeneratorInput:
         raise ConfigError(f"unused generator parameters {sorted(params)} in {text!r}")
     if n < 1:
         raise ConfigError(f"generator length must be at least 1, got {n}")
-    return GeneratorInput(text, spec, n)
+    return spec, n
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -240,11 +234,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         digitizer_raw = "none" if (args.generate or args.format == "symbols") else "median"
     levels = _parse_digitizer(digitizer_raw)
 
-    generator = None
     if args.generate is not None:
         if levels is not None:
             raise ConfigError("generated sequences are already symbolic; drop --digitizer")
-        generator = _parse_generator_spec(args.generate)
+        spec, n = _parse_generator_spec(args.generate)
     else:
         if args.format == "symbols" and levels is not None:
             raise ConfigError("digitizers apply to numeric input; symbol input needs --digitizer none")
@@ -269,13 +262,20 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.output and args.input and Path(args.output).resolve() == Path(args.input).resolve():
         raise ConfigError("--output would overwrite the --input file")
 
+    # The loaders are looked up in this module when a source loads, so a
+    # loader wrapped after this point still sees every call.
+    if args.generate is not None:
+        sources, load = [args.generate], lambda _: generate(spec, n, args.seed)
+    else:
+        sources = _sources(args.input, args.output)
+        if args.format == "symbols":
+            load = lambda path: _load_symbol_file(path, alphabet_size)
+        else:
+            load = lambda path: _load_csv_series(path, args.column)
     return RunConfig(
-        input_path=args.input,
-        generator=generator,
-        input_format=args.format,
-        column=args.column,
+        sources=sources,
+        load=load,
         digitizer_levels=levels,
-        alphabet_size=alphabet_size,
         window_length=args.window,
         q_max=args.qmax,
         surrogates=args.surrogates,
@@ -468,18 +468,18 @@ def _read_csv_rows(path: str, column: str | None) -> NumericSeries:
     return NumericSeries(np.array(values, dtype=np.float64))
 
 
-def _load(source: str, config: RunConfig) -> SymbolSequence | NumericSeries:
-    if config.generator is not None:
-        return generate(config.generator.spec, config.generator.n, config.seed)
-    if config.input_format == "symbols":
-        return _load_symbol_file(source, config.alphabet_size)
-    return _load_csv_series(source, config.column)
+# What fails one unit, not the run: a bad, unreadable or oversized input.
+_UNIT_ERRORS = (OSError, ValueError, MemoryError)
 
 
-def _to_symbols(data: SymbolSequence | NumericSeries, config: RunConfig) -> SymbolSequence:
+def _to_symbols(data: SymbolSequence | NumericSeries, config: RunConfig) -> SymbolSequence | str:
+    """A unit's symbols, digitized if numeric, or the error digitizing gave."""
     if config.digitizer_levels is None:
         return data
-    return digitize_quantiles(data, config.digitizer_levels)
+    try:
+        return digitize_quantiles(data, config.digitizer_levels)
+    except _UNIT_ERRORS as exc:
+        return _unit_error(exc)
 
 
 def _windows(
@@ -495,13 +495,12 @@ def _windows(
         yield None
 
 
-def _sources(config: RunConfig) -> list[str]:
-    if config.generator is not None:
-        return [config.generator.label]
-    root = Path(config.input_path)
+def _sources(input_path: str, output_path: str | None) -> list[str]:
+    """The ``--input`` file, or a directory's files in sorted order."""
+    root = Path(input_path)
     if root.is_dir():
         # A report written into the input directory is not an input.
-        output = Path(config.output_path).resolve() if config.output_path else None
+        output = Path(output_path).resolve() if output_path else None
         return sorted(
             str(child)
             for child in root.iterdir()
@@ -524,13 +523,13 @@ def _units(
     """Load one source and yield its units in order as (label, sequence).
 
     In place of the sequence comes the error message if the source failed to
-    load, or None for a dropped trailing partial window.  Windows are cut
-    and digitized one at a time, and the loaded source is released when the
-    generator finishes.
+    load or the unit to digitize, or None for a dropped trailing partial
+    window.  Windows are cut and digitized one at a time, and the loaded
+    source is released when the generator finishes.
     """
     try:
-        data = _load(source, config)
-    except (OSError, ValueError, MemoryError) as exc:
+        data = config.load(source)
+    except _UNIT_ERRORS as exc:
         yield source, _unit_error(exc)
         return
     if config.window_length is None:
@@ -713,7 +712,6 @@ def run(config: RunConfig) -> int:
     :func:`_workers` forked processes and keeps that many units in flight;
     otherwise every task runs in-process, one unit at a time.
     """
-    sources = _sources(config)
     failed = dropped = 0
     try:
         output = open(config.output_path, "w") if config.output_path else nullcontext(sys.stdout)
@@ -746,7 +744,7 @@ def run(config: RunConfig) -> int:
 
         if config.output_format == "csv":
             print(csv_header(config.q_max), file=out, flush=True)
-        units = chain.from_iterable(_units(source, config) for source in sources)
+        units = chain.from_iterable(_units(source, config) for source in config.sources)
         for seed, (label, unit) in enumerate(units, config.seed):
             # Parse work is counted until a pool starts.
             if isinstance(unit, SymbolSequence) and in_flight < workers:

@@ -279,6 +279,31 @@ class TestGeneratorInput:
         assert (code, out) == (2, "")
         assert err == f"error: repeated generator parameter {key!r} in {spec!r}\n"
 
+    @pytest.mark.parametrize("spec", ["noise", "noise:x=1", "noise:n=5"])
+    def test_unknown_kind_is_named_before_its_parameters(self, capsys, spec):
+        assert run_cli(capsys, "--generate", spec) == (
+            2, "", "error: unknown generator kind 'noise'\n"
+        )
+
+    def test_markov_file_path_may_hold_commas(self, tmp_path, capsys):
+        rows = "0.5,0.3,0.2\n0.1,0.8,0.1\n0.3,0.3,0.4\n"
+        (tmp_path / "plain.csv").write_text(rows)
+        (tmp_path / "d,x").mkdir()
+        (tmp_path / "d,x" / "a,b.csv").write_text(rows)
+        reports = []
+        for path in (tmp_path / "plain.csv", tmp_path / "d,x" / "a,b.csv"):
+            spec = f"markov-file:{path},n=50"
+            code, out, err = run_cli(capsys, "--generate", spec, "--surrogates", "2", "--qmax", "2")
+            assert (code, err) == (0, "")
+            (report,) = json_lines(out)
+            assert report.pop("source") == spec
+            reports.append(report)
+        assert reports[0] == reports[1]
+        spec = f"markov-file:{path},n=5,n=6"
+        assert run_cli(capsys, "--generate", spec) == (
+            2, "", f"error: repeated generator parameter 'n' in {spec!r}\n"
+        )
+
     def test_bad_generator_spec_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "--generate", "bernoulli:p=0.5")
         assert code == 2
@@ -734,6 +759,37 @@ class TestStreaming:
         assert json_lines(err) == [
             {"source": str(corpus / "b.txt"), "error": "Unable to allocate 8.00 GiB"}
         ]
+
+    @pytest.mark.parametrize("window", [None, "400"])
+    def test_a_unit_out_of_memory_while_digitizing_fails_alone(
+        self, tmp_path, capsys, monkeypatch, window
+    ):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rng = np.random.default_rng(12)
+        for name in ("a.csv", "b.csv", "c.csv"):
+            (corpus / name).write_text("".join(f"{v:.6f}\n" for v in rng.normal(size=1000)))
+        argv = ["--input", str(corpus), "--format", "csv", "--surrogates", "1", "--qmax", "2"]
+        argv += ["--window", window] if window else []
+        clean = run_cli(capsys, *argv)[1].splitlines()
+        assert len(clean) == (3 if window is None else 6)
+        real = cli.digitize_quantiles
+        calls = []
+
+        def out_of_memory_on_the_second_unit(series, levels):
+            calls.append(levels)
+            if len(calls) == 2:
+                raise MemoryError()
+            return real(series, levels)
+
+        monkeypatch.setattr(cli, "digitize_quantiles", out_of_memory_on_the_second_unit)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out.splitlines() == clean[:1] + clean[2:]
+        label = str(corpus / "b.csv") if window is None else f"{corpus / 'a.csv'}@1"
+        record = json.dumps({"source": label, "error": "out of memory"})
+        dropped = "windowing: dropped 3 trailing partial window(s)\n" if window else ""
+        assert err == record + "\n" + dropped
 
     def test_failure_records_come_in_unit_order(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

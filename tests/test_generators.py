@@ -301,13 +301,16 @@ def _rate_tables():
     return [
         (np.tile(rng.dirichlet(np.ones(4)), (4, 1)), 1),  # i.i.d.: equal rows
         (rng.dirichlet(np.full(3, 0.5), 9), 2),
-        # A = 20 runs the hashed parse kernel and the per-symbol sampler.
+        # A = 20 and 40 run the hashed parse kernel and the per-symbol sampler.
         (rng.dirichlet(np.full(20, 0.3), 20), 1),
+        (rng.dirichlet(np.full(40, 0.3), 40), 1),
     ]
 
 
 class TestRatesBeyondBinarySources:
-    @pytest.mark.parametrize("table, m", _rate_tables(), ids=["iid-A4", "order2-A3", "order1-A20"])
+    @pytest.mark.parametrize(
+        "table, m", _rate_tables(), ids=["iid-A4", "order2-A3", "order1-A20", "order1-A40"]
+    )
     def test_rho0_falls_toward_the_rate_and_hq_meets_it(self, table, m):
         # Order, not tuned envelopes: rho0 stays above h and its excess
         # falls with n, one seed per n, and the plug-in hq at the chain's

@@ -1,9 +1,11 @@
-"""The package's modules import each other without cycles."""
+"""The package's modules import each other without cycles, and its public
+names are the ones listed here."""
 
 import ast
 from pathlib import Path
 
 import lzwmetrics
+from lzwmetrics import cli
 
 PACKAGE = Path(lzwmetrics.__file__).parent
 
@@ -45,3 +47,29 @@ def test_modules_form_no_import_cycle():
 
 def test_estimators_do_not_import_processes():
     assert "generators" not in _imports()["entropy"]
+
+
+PUBLIC_NAMES = [
+    "Alphabet", "SymbolSequence", "NumericSeries", "digitize_quantiles", "shuffle",
+    "LzwResult", "CorruptStreamError", "encode", "decode", "description_length_bound",
+    "EntropyProfile", "DegenerateProcessError", "Q_MAX_LIMIT", "h0_bernoulli",
+    "empirical_h0", "empirical_block_entropy", "empirical_hq", "entropy_profile",
+    "analytic_entropy_rate", "stationary_distribution", "ProcessSpec",
+    "symmetric_binary_markov", "generate", "MetricReport", "analyze", "rho0",
+    "rho1_analytic", "rho1_surrogate", "rho2", "SHORT_SEQUENCE_WARNING",
+    "RHO2_NEGATIVE_WARNING", "H0_DEGENERATE_WARNING", "DESCRIPTION_LENGTH_NOTE",
+    "__version__",
+]
+
+
+def test_package_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 34
+    assert lzwmetrics.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(lzwmetrics, name), name
+
+
+def test_cli_public_names_are_pinned():
+    assert cli.__all__ == ["RunConfig", "ConfigError", "run", "emit_report", "main"]
+    for name in cli.__all__:
+        assert hasattr(cli, name), name

@@ -96,6 +96,15 @@ class TestAgainstNaiveParser:
         assert list(r.codes) == naive_lzw_codes(symbols.tolist(), A)
         assert r.phrase_count < len(symbols) / 5
 
+    @pytest.mark.parametrize("A", [17, 256])
+    def test_iid_codes_past_the_table_cutoff(self, A):
+        # i.i.d. input over a whole alphabet above 16 grows the hashed
+        # parser's dictionary by thousands of entries
+        symbols = np.random.default_rng(40 + A).integers(0, A, 20_000)
+        r = encode(seq(symbols, A=A))
+        assert list(r.codes) == naive_lzw_codes(symbols.tolist(), A)
+        assert r.dict_size > A + 5000
+
     @pytest.mark.parametrize("A, n", [(2, 16000), (3, 9000), (16, 3000)])
     def test_codes_across_child_column_growth(self, A, n):
         # The dense parser's child columns hold slots for 64 entries and all
