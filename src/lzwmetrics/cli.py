@@ -110,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format",
         choices=["symbols", "csv"],
-        default="symbols",
         help="input file format (default: symbols)",
     )
     parser.add_argument(
@@ -214,7 +213,7 @@ def _parse_generator_spec(text: str) -> tuple[ProcessSpec, int]:
         elif kind == "periodic":
             spec = ProcessSpec.periodic([int(ch) for ch in params.pop("pattern")])
         else:  # constant
-            spec = ProcessSpec.constant(int(params.pop("symbol", "0")))
+            spec = ProcessSpec.periodic([int(params.pop("symbol", "0"))])
     except KeyError as exc:
         raise ConfigError(f"generator spec {text!r} is missing parameter {exc}") from None
     except OSError as exc:
@@ -229,9 +228,13 @@ def _parse_generator_spec(text: str) -> tuple[ProcessSpec, int]:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    if args.format is not None and args.generate is not None:
+        raise ConfigError("--format only applies to file input")
+    # None for generated input, which has no file format.
+    input_format = None if args.generate is not None else args.format or "symbols"
     digitizer_raw = args.digitizer
     if digitizer_raw is None:
-        digitizer_raw = "none" if (args.generate or args.format == "symbols") else "median"
+        digitizer_raw = "median" if input_format == "csv" else "none"
     levels = _parse_digitizer(digitizer_raw)
 
     if args.generate is not None:
@@ -239,13 +242,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("generated sequences are already symbolic; drop --digitizer")
         spec, n = _parse_generator_spec(args.generate)
     else:
-        if args.format == "symbols" and levels is not None:
+        if input_format == "symbols" and levels is not None:
             raise ConfigError("digitizers apply to numeric input; symbol input needs --digitizer none")
-        if args.format == "csv" and levels is None:
+        if input_format == "csv" and levels is None:
             raise ConfigError("--digitizer none requires symbol-format input")
-    if args.column is not None and (args.generate is not None or args.format != "csv"):
+    if args.column is not None and input_format != "csv":
         raise ConfigError("--column only applies to csv input")
-    if args.alphabet_size is not None and (args.generate is not None or args.format != "symbols"):
+    if args.alphabet_size is not None and input_format != "symbols":
         raise ConfigError("--alphabet-size only applies to symbol-format input")
     alphabet_size = 2 if args.alphabet_size is None else args.alphabet_size
     if args.window is not None and args.window < 2:
@@ -268,7 +271,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         sources, load = [args.generate], lambda _: generate(spec, n, args.seed)
     else:
         sources = _sources(args.input, args.output)
-        if args.format == "symbols":
+        if input_format == "symbols":
             load = lambda path: _load_symbol_file(path, alphabet_size)
         else:
             load = lambda path: _load_csv_series(path, args.column)
@@ -714,7 +717,9 @@ def run(config: RunConfig) -> int:
     """
     failed = dropped = 0
     try:
-        output = open(config.output_path, "w") if config.output_path else nullcontext(sys.stdout)
+        output = nullcontext(sys.stdout)
+        if config.output_path:
+            output = open(config.output_path, "w", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         print(f"error: cannot open --output {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import _entropy_bits, h0_bernoulli
-from .sequence import Alphabet, SymbolSequence, _symbol_dtype
+from .sequence import _SYMBOL_LIMIT, Alphabet, SymbolSequence, _symbol_dtype
 
 __all__ = [
     "DegenerateProcessError",
@@ -29,12 +29,8 @@ __all__ = [
     "generate",
 ]
 
-# The fields each kind sets besides ``alphabet_size``; the others stay None.
-_KIND_FIELDS = {
-    "bernoulli": ("p",),
-    "markov": ("order", "transition_table"),
-    "periodic": ("pattern",),
-}
+# The one field each kind sets besides ``alphabet_size``; the others stay None.
+_PARAMETER = {"bernoulli": "p", "markov": "transition_table", "periodic": "pattern"}
 
 # Composite-state count cap for order-m chains; A**m beyond this makes the
 # stationary-distribution computation and sampling tables unreasonable.
@@ -105,17 +101,29 @@ def _closed_class(table: np.ndarray, A: int, order: int) -> np.ndarray:
     return _hops(r, successors) >= 0
 
 
-def stationary_distribution(
-    transition_table: np.ndarray, alphabet_size: int, order: int
-) -> np.ndarray:
+def _table_shape(table: np.ndarray) -> tuple[int, int]:
+    """Alphabet size A and order m of a transition table of A**m rows by A columns."""
+    if table.ndim != 2:
+        raise ValueError("transition table must be two-dimensional")
+    rows, A = table.shape
+    if A < 2:
+        raise ValueError(f"alphabet size must be at least 2, got {A}")
+    order = max(1, round(np.log(rows) / np.log(A))) if rows > 1 else 1
+    if A**order != rows:
+        raise ValueError(f"row count {rows} is not a power of the alphabet size {A}")
+    return A, order
+
+
+def stationary_distribution(transition_table: np.ndarray) -> np.ndarray:
     """Stationary law of the composite-state chain behind an order-m table.
 
-    ``transition_table`` holds one next-symbol distribution per A**m
-    composite state; the induced state chain shifts the oldest symbol out
-    and the sampled one in.  A table of the wrong shape, with a negative
-    entry or with a row whose sum is not within 1e-12 of 1 (a NaN included)
-    raises ``ValueError``.  The law is unique exactly when the support
-    graph has one closed class, which is checked next; otherwise
+    ``transition_table`` holds one next-symbol distribution per composite
+    state, so its shape, A**m rows by A columns, gives A and the order m.
+    The induced state chain shifts the oldest symbol out and the sampled
+    one in.  A table of no such shape (A >= 2), with a negative entry or
+    with a row whose sum is not within 1e-12 of 1 (a NaN included) raises
+    ``ValueError``.  The law is unique exactly when the support graph has
+    one closed class, which is checked next; otherwise
     :class:`DegenerateProcessError` is raised.  Damped power iteration
     (averaging each iterate with its successor keeps the fixed points and
     suppresses periodic oscillation) then starts from the uniform law on
@@ -126,9 +134,8 @@ def stationary_distribution(
     reached.
     """
     table = np.asarray(transition_table, dtype=np.float64)
-    n_states, A = shape = (alphabet_size**order, alphabet_size)
-    if table.shape != shape:
-        raise ValueError(f"transition table must have shape {shape}, got {table.shape}")
+    A, order = _table_shape(table)
+    n_states = len(table)
     if (table < 0).any():
         raise ValueError("transition probabilities must be non-negative")
     # Written so that a NaN sum, which compares false, fails the check.
@@ -153,14 +160,19 @@ def stationary_distribution(
 class ProcessSpec:
     """Parameterization of one synthetic process.
 
-    ``kind`` selects the family and the matching fields must be set:
-    ``bernoulli`` needs ``p``, ``markov`` needs ``order`` and a row-stochastic
-    ``transition_table`` over A**order states by A symbols, ``periodic``
-    needs ``pattern``; a field of another kind raises ``ValueError``.  The
-    classmethod constructors fill in the bookkeeping; :meth:`constant` is a
-    periodic spec with a one-symbol pattern.  A Markov spec keeps a
-    read-only copy of its table and the law :func:`stationary_distribution`
-    solves from it once, at construction, with that function's errors.
+    ``kind`` selects the family, which takes one parameter: ``bernoulli``
+    ``p``, ``markov`` a row-stochastic ``transition_table`` of A**m rows by
+    A columns, ``periodic`` a ``pattern`` (a constant process is a pattern
+    of one symbol); a parameter of another kind raises ``ValueError``.
+    ``alphabet_size`` is worked out from the parameter: 2 for bernoulli, the
+    table's column count for markov, max(2, max(pattern) + 1) for periodic
+    unless given; a given size that disagrees with a bernoulli or markov
+    process raises ``ValueError``.  ``order`` is the Markov order m, read
+    from the table's row count, and None for the other kinds.  The
+    classmethods are shorter spellings of the constructor.  A Markov spec
+    keeps a read-only copy of its table and the law
+    :func:`stationary_distribution` solves from it once, at construction,
+    with that function's errors.
 
     Specs compare and hash by identity, as plain objects do: a spec equals
     itself (and nothing else) and can key a dict or sit in a set, whatever
@@ -168,9 +180,9 @@ class ProcessSpec:
     """
 
     kind: str
-    alphabet_size: int = 2
+    alphabet_size: int | None = None
     p: float | None = None
-    order: int | None = None
+    order: int | None = field(default=None, init=False)
     transition_table: np.ndarray | None = None
     pattern: tuple[int, ...] | None = None
     # Stationary law of a Markov spec's state chain, solved once here and
@@ -178,41 +190,40 @@ class ProcessSpec:
     _stationary: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        A = self.alphabet_size
-        if A < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {A}")
-        if self.kind not in _KIND_FIELDS:
+        if self.kind not in _PARAMETER:
             raise ValueError(f"unknown process kind: {self.kind!r}")
-        stray = [
-            name
-            for name in ("p", "order", "transition_table", "pattern")
-            if name not in _KIND_FIELDS[self.kind] and getattr(self, name) is not None
-        ]
+        stray = [v for k, v in _PARAMETER.items() if k != self.kind and getattr(self, v) is not None]
         if stray:
             raise ValueError(f"{self.kind} processes take no {', '.join(stray)}")
         if self.kind == "bernoulli":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"bernoulli requires p in [0, 1], got {self.p}")
-            if A != 2:
-                raise ValueError("bernoulli processes are binary (alphabet size 2)")
+            A = 2
         elif self.kind == "markov":
-            if self.order is None or self.order < 1:
-                raise ValueError(f"markov order must be at least 1, got {self.order}")
-            if A**self.order > _MAX_STATES:
-                raise ValueError(
-                    f"state space {A}**{self.order} exceeds the {_MAX_STATES} cap"
-                )
             table = np.array(self.transition_table, dtype=np.float64, copy=True)
-            pi = stationary_distribution(table, A, self.order)
+            A, order = _table_shape(table)
+        else:  # periodic
+            pattern = tuple(int(s) for s in self.pattern or ())
+            if not pattern:
+                raise ValueError("periodic pattern must be non-empty")
+            A = max(2, max(pattern) + 1) if self.alphabet_size is None else self.alphabet_size
+        if self.alphabet_size not in (None, A):
+            raise ValueError(f"{self.kind} alphabet size is {A}, not {self.alphabet_size}")
+        if A < 2:
+            raise ValueError(f"alphabet size must be at least 2, got {A}")
+        object.__setattr__(self, "alphabet_size", A)
+        if self.kind == "markov":
+            if A**order > _MAX_STATES:
+                raise ValueError(f"state space {A}**{order} exceeds the {_MAX_STATES} cap")
+            pi = stationary_distribution(table)
             table.flags.writeable = pi.flags.writeable = False
             object.__setattr__(self, "transition_table", table)
+            object.__setattr__(self, "order", order)
             object.__setattr__(self, "_stationary", pi)
-        else:  # periodic
-            if not self.pattern:
-                raise ValueError("periodic pattern must be non-empty")
-            pattern = tuple(int(s) for s in self.pattern)
-            if any(not 0 <= s < A for s in pattern):
-                raise ValueError(f"pattern symbols must lie in 0..{A - 1}")
+        elif self.kind == "periodic":
+            # A symbol sequence holds no symbol past the int64 range.
+            if any(not 0 <= s < min(A, _SYMBOL_LIMIT) for s in pattern):
+                raise ValueError(f"pattern symbols must lie in 0..{min(A, _SYMBOL_LIMIT) - 1}")
             object.__setattr__(self, "pattern", pattern)
 
     def __setstate__(self, state: dict) -> None:
@@ -226,34 +237,17 @@ class ProcessSpec:
     @classmethod
     def bernoulli(cls, p: float) -> "ProcessSpec":
         """I.i.d. binary draws with P(symbol 1) = p."""
-        return cls(kind="bernoulli", alphabet_size=2, p=float(p))
+        return cls("bernoulli", p=float(p))
 
     @classmethod
     def markov(cls, transition_table) -> "ProcessSpec":
-        """Order-m chain over the table's columns; m is inferred from its row count."""
-        table = np.asarray(transition_table, dtype=np.float64)
-        if table.ndim != 2:
-            raise ValueError("transition table must be two-dimensional")
-        rows, A = table.shape
-        if A < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {A}")
-        order = max(1, round(np.log(rows) / np.log(A))) if rows > 1 else 1
-        if A**order != rows:
-            raise ValueError(f"row count {rows} is not a power of the alphabet size {A}")
-        return cls(kind="markov", alphabet_size=A, order=order, transition_table=table)
+        """Order-m chain over A symbols, A and m read from the table's shape."""
+        return cls("markov", transition_table=transition_table)
 
     @classmethod
     def periodic(cls, pattern, alphabet_size: int | None = None) -> "ProcessSpec":
         """Deterministic tiling of a fixed symbol pattern."""
-        pattern = tuple(int(s) for s in pattern)
-        if alphabet_size is None:
-            alphabet_size = max(2, max(pattern, default=0) + 1)
-        return cls(kind="periodic", alphabet_size=alphabet_size, pattern=pattern)
-
-    @classmethod
-    def constant(cls, symbol: int = 0, alphabet_size: int = 2) -> "ProcessSpec":
-        """A single symbol repeated forever: a period of one symbol."""
-        return cls.periodic([symbol], alphabet_size)
+        return cls("periodic", alphabet_size, pattern=pattern)
 
 
 def analytic_entropy_rate(spec: ProcessSpec) -> float:

@@ -144,7 +144,7 @@ def test_criterion_5_constant_source():
     # stream at about 3939 bits, i.e. rho0 close to 0.039.  The criterion
     # is asserted as stated and expected to fail; see the decisions ledger.
     start = time.perf_counter()
-    s = generate(ProcessSpec.constant(0), 10**5, 0)
+    s = generate(ProcessSpec.periodic([0]), 10**5, 0)
     r0 = encode(s).description_length_bits / 10**5
     elapsed = time.perf_counter() - start
     ok = r0 < 0.02 and elapsed < 5.0

@@ -32,9 +32,12 @@ def child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 
-def python_child(code, *argv, **kwargs):
-    """Start ``python -c code argv...`` on the package this process imported."""
-    return subprocess.Popen([sys.executable, "-c", code, *argv], env=child_env(), **kwargs)
+def python_child(code, *argv, env=(), **kwargs):
+    """Start ``python -c code argv...`` on the package this process imported,
+    with the variables in ``env`` added to this process's environment."""
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *argv], env=dict(child_env(), **dict(env)), **kwargs
+    )
 
 
 def forced_pool(monkeypatch, workers):
@@ -175,7 +178,7 @@ class TestGeneratorInput:
         assert report["rho1_analytic"] is None
         assert "h0 degenerate" in report["warnings"]
 
-    @pytest.mark.parametrize("symbol", ["0", "1"])
+    @pytest.mark.parametrize("symbol", ["0", "1", "2", "9"])
     def test_constant_is_a_one_symbol_period(self, capsys, symbol):
         argv = ["--qmax", "3", "--surrogates", "2", "--seed", "3"]
         reports = []
@@ -893,6 +896,8 @@ class TestConfigErrors:
             ("--input", "x", "--seed", "-1"),
             ("--input", "x", "--output", "x"),
             ("--generate", "bernoulli:p=0.5,n=2000", "--alphabet-size", "7"),
+            ("--generate", "bernoulli:p=0.5,n=100", "--format", "csv"),
+            ("--generate", "bernoulli:p=0.5,n=100", "--format", "symbols"),
             ("--input", "x", "--format", "csv", "--alphabet-size", "9"),
             ("--input", "x", "--format", "csv", "--digitizer", "quantiles:x"),
             ("--input", "x", "--digitizer", "foo"),
@@ -955,6 +960,27 @@ class TestDeterminism:
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
         assert out_file.read_text() == first
+
+    def test_output_file_is_utf8_whatever_the_locale(self, tmp_path):
+        # In the C locale, without UTF-8 mode, the non-ASCII file name comes
+        # in as surrogate escapes; stdout writes its bytes back, and so must
+        # the --output file.
+        (tmp_path / "日本.txt").write_text("0110100110" * 5)
+        code = "import sys\nfrom lzwmetrics.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        argv = ["--input", "日本.txt", "--output-format", "csv", "--surrogates", "0"]
+        runs = []
+        for extra in ([], ["--output", "out.csv"]):
+            proc = python_child(
+                code, *argv, *extra, env=env, cwd=tmp_path,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            runs.append(proc.communicate(timeout=60))
+            assert proc.returncode == 0, runs[-1][1]
+        (out, _), (file_out, file_err) = runs
+        assert (file_out, file_err) == (b"", b"")
+        assert "日本.txt".encode("utf-8") in out
+        assert (tmp_path / "out.csv").read_bytes() == out
 
     @pytest.mark.parametrize("window", [[], ["--window", "60"]])
     @pytest.mark.parametrize("output_format", ["json", "csv"])

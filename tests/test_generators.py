@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import tracemalloc
 
@@ -61,8 +62,9 @@ class TestProcessSpecValidation:
         "fields, stray",
         [
             (dict(kind="bernoulli", p=0.5, pattern=(1, 1, 1)), "pattern"),
-            (dict(kind="markov", order=1, transition_table=np.full((2, 2), 0.5), p=0.5), "p"),
-            (dict(kind="periodic", pattern=(0, 1), p=0.9, order=1), "p, order"),
+            (dict(kind="markov", transition_table=np.full((2, 2), 0.5), p=0.5), "p"),
+            (dict(kind="periodic", pattern=(0, 1), p=0.9, transition_table=np.eye(2)),
+             "p, transition_table"),
         ],
         ids=["bernoulli", "markov", "periodic"],
     )
@@ -70,20 +72,52 @@ class TestProcessSpecValidation:
         with pytest.raises(ValueError, match=f"^{fields['kind']} processes take no {stray}$"):
             ProcessSpec(**fields)
 
-    def test_markov_shape_must_match_the_order(self):
-        with pytest.raises(ValueError, match=r"must have shape \(4, 2\), got \(2, 2\)"):
-            ProcessSpec(
-                kind="markov", alphabet_size=2, order=2, transition_table=np.full((2, 2), 0.5)
-            )
+    def test_the_order_is_read_from_the_table_alone(self):
+        with pytest.raises(TypeError, match="order"):
+            ProcessSpec(kind="markov", order=2, transition_table=np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(kind="bernoulli", p=0.5, alphabet_size=3), "bernoulli alphabet size is 2, not 3"),
+            (
+                dict(kind="markov", transition_table=np.full((3, 3), 1 / 3), alphabet_size=2),
+                "markov alphabet size is 3, not 2",
+            ),
+        ],
+        ids=["bernoulli", "markov"],
+    )
+    def test_an_alphabet_size_that_disagrees_is_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProcessSpec(**fields)
+
+    def test_a_matching_alphabet_size_is_accepted(self):
+        assert ProcessSpec(kind="bernoulli", p=0.5, alphabet_size=2).alphabet_size == 2
+        table = np.full((9, 3), 1 / 3)
+        spec = ProcessSpec(kind="markov", transition_table=table, alphabet_size=3)
+        assert (spec.alphabet_size, spec.order) == (3, 2)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda s: pickle.loads(pickle.dumps(s)), lambda s: dataclasses.replace(s)],
+        ids=["pickle", "replace"],
+    )
+    def test_clones_keep_the_derived_alphabet_and_order(self, clone):
+        spec = ProcessSpec.markov(np.random.default_rng(3).dirichlet(np.ones(3), 9))
+        twin = clone(spec)
+        assert (twin.alphabet_size, twin.order) == (spec.alphabet_size, spec.order) == (3, 2)
+        np.testing.assert_array_equal(twin._stationary, spec._stationary)
+        assert generate(twin, 500, 1) == generate(spec, 500, 1)
+
+    def test_replace_rederives_from_the_new_parameter(self):
+        spec = dataclasses.replace(ProcessSpec.periodic([0, 1]), alphabet_size=None, pattern=(4,))
+        assert (spec.alphabet_size, spec.pattern) == (5, (4,))
+        with pytest.raises(ValueError, match="markov alphabet size is 3, not 2"):
+            dataclasses.replace(symmetric_binary_markov(0.1), transition_table=np.eye(3))
 
     def test_markov_state_space_cap(self):
-        with pytest.raises(ValueError):
-            ProcessSpec(
-                kind="markov",
-                alphabet_size=2,
-                order=17,
-                transition_table=np.full((2**17, 2), 0.5),
-            )
+        with pytest.raises(ValueError, match=r"state space 2\*\*17 exceeds the 65536 cap"):
+            ProcessSpec.markov(np.full((2**17, 2), 0.5))
 
     @pytest.mark.parametrize(
         "build",
@@ -144,7 +178,7 @@ class TestProcessSpecValidation:
             lambda: ProcessSpec.bernoulli(0.3),
             lambda: ProcessSpec.markov([[0.9, 0.1], [0.2, 0.8]]),
             lambda: ProcessSpec.periodic([0, 1, 1]),
-            lambda: ProcessSpec.constant(1),
+            lambda: ProcessSpec.periodic([1]),
         ],
         ids=["bernoulli", "markov", "periodic", "constant"],
     )
@@ -166,23 +200,26 @@ class TestProcessSpecValidation:
         with pytest.raises(ValueError):
             ProcessSpec.periodic([0, 3], alphabet_size=2)
         with pytest.raises(ValueError):
-            ProcessSpec.periodic([])
-
-    def test_constant_symbol_in_range(self):
+            ProcessSpec.periodic([5], alphabet_size=2)
+        # no symbol sequence holds a symbol past the int64 range
+        with pytest.raises(ValueError, match=f"must lie in 0..{2**63 - 1}$"):
+            ProcessSpec.periodic([2**63])
         with pytest.raises(ValueError):
-            ProcessSpec.constant(5, alphabet_size=2)
+            ProcessSpec.periodic([])
 
 
 class TestDeterministicKinds:
     def test_constant(self):
-        assert generate(ProcessSpec.constant(0), 5, 99) == seq([0, 0, 0, 0, 0])
+        assert generate(ProcessSpec.periodic([0]), 5, 99) == seq([0, 0, 0, 0, 0])
 
     def test_constant_is_a_one_symbol_period(self):
-        spec = ProcessSpec.constant(2, alphabet_size=3)
+        # The alphabet grows to hold the symbol, as for any pattern.
+        spec = ProcessSpec.periodic([2])
         assert (spec.kind, spec.pattern, spec.alphabet_size) == ("periodic", (2,), 3)
         assert generate(spec, 4, 0) == seq([2, 2, 2, 2], A=3)
+        assert ProcessSpec.periodic([9]).alphabet_size == 10
         with pytest.raises(ValueError, match=r"pattern symbols must lie in 0\.\.1"):
-            ProcessSpec.constant(-1)
+            ProcessSpec.periodic([-1])
 
     def test_periodic_tiling_truncates(self):
         assert generate(ProcessSpec.periodic([0, 1]), 5, 99) == seq([0, 1, 0, 1, 0])
@@ -211,7 +248,7 @@ class TestRandomKinds:
         table = np.array([[0.9, 0.1], [0.2, 0.8]])
         spec = ProcessSpec.markov(table)
         s = generate(spec, 10**6, 5)
-        pi = stationary_distribution(table, 2, 1)
+        pi = stationary_distribution(table)
         histogram = np.bincount(s.data, minlength=2) / len(s)
         tv = 0.5 * np.abs(histogram - pi).sum()
         assert tv <= 0.01
@@ -228,7 +265,7 @@ class TestRandomKinds:
         s = generate(spec, 2 * 10**5, 8)
         pairs = s.data[:-1] * 2 + s.data[1:]
         histogram = np.bincount(pairs, minlength=4) / len(pairs)
-        pi = stationary_distribution(table, 2, 2)
+        pi = stationary_distribution(table)
         tv = 0.5 * np.abs(histogram - pi).sum()
         assert tv <= 0.01
 
@@ -255,7 +292,7 @@ class TestRandomKinds:
 
     @pytest.mark.parametrize(
         "spec",
-        [ProcessSpec.bernoulli(0.3), ProcessSpec.periodic([0, 1, 1]), ProcessSpec.constant(1)],
+        [ProcessSpec.bernoulli(0.3), ProcessSpec.periodic([0, 1, 1]), ProcessSpec.periodic([1])],
         ids=["bernoulli", "periodic", "constant"],
     )
     def test_other_kinds_build_one_byte_per_symbol(self, spec):
@@ -278,7 +315,7 @@ class TestRandomKinds:
     def test_short_runs_and_edges(self):
         assert len(generate(symmetric_binary_markov(0.1), 1, 4)) == 1
         with pytest.raises(ValueError):
-            generate(ProcessSpec.constant(0), 0, 1)
+            generate(ProcessSpec.periodic([0]), 0, 1)
 
 
 class TestSpecEntropyRate:

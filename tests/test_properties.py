@@ -224,7 +224,7 @@ def test_markov_draw_past_a_short_row_total_lands_on_a_positive_symbol():
     # probability is 0.
     row = [0.7, 0.3 - 2**-50, 0.0]
     spec = ProcessSpec.markov([row] * 3)
-    pi = stationary_distribution(spec.transition_table, 3, 1)
+    pi = stationary_distribution(spec.transition_table)
     draws = np.array([0.0, 1 - 2**-53])
     assert _sample_markov(spec, 2, _Uniforms(draws)).tolist() == [0, 1]
     expected = markov_sample(spec.transition_table, 3, 1, pi, 2, _Uniforms(draws))
@@ -284,7 +284,7 @@ def _two_state_examples(test):
 def test_markov_sampler_matches_the_per_symbol_loop(case):
     spec, n, seed, length = case
     A, m, table = spec.alphabet_size, spec.order, spec.transition_table
-    pi = stationary_distribution(table, A, m)
+    pi = stationary_distribution(table)
     expected = markov_sample(table, A, m, pi, n, np.random.default_rng(seed))
     assert np.array_equal(generate(spec, n, seed).data, expected)
 
@@ -336,11 +336,11 @@ def test_stationary_law_is_unique_exactly_when_one_class_is_closed(case):
     event(f"transient states: {A**m > sum(map(len, classes))}")
     if len(classes) > 1:
         with pytest.raises(DegenerateProcessError, match="not unique"):
-            stationary_distribution(table, A, m)
+            stationary_distribution(table)
         with pytest.raises(DegenerateProcessError):
             ProcessSpec.markov(table)
         return
-    pi = stationary_distribution(table, A, m)
+    pi = stationary_distribution(table)
     ProcessSpec.markov(table)
     assert np.abs(pi - stationary_by_eigendecomposition(table, A, m)).max() <= 1e-9
     outside = np.ones(A**m, dtype=bool)
