@@ -39,6 +39,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from collections import deque
 from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from dataclasses import dataclass, replace
@@ -57,6 +58,7 @@ from .sequence import (
     Alphabet,
     NumericSeries,
     SymbolSequence,
+    _symbol_dtype,
     digitize_quantiles,
 )
 
@@ -320,7 +322,9 @@ def _load_symbol_file(path: str, alphabet_size: int) -> SymbolSequence:
         raise ValueError(
             f"{path}: symbol {values[first]} outside alphabet of size {alphabet_size}"
         )
-    return SymbolSequence(Alphabet(alphabet_size), values)
+    # Checked above, and cast only where A > 256 stores symbols as uint16.
+    values = values.astype(_symbol_dtype(alphabet_size), copy=False)
+    return SymbolSequence._own(Alphabet(alphabet_size), values)
 
 
 def _row_is_numeric(row: list[str]) -> bool:
@@ -375,13 +379,15 @@ def _csv_head(
 _SCAN_BYTES = 1 << 17
 
 
-def _plain_csv(path: str) -> bool:
+def _plain_csv(path: str) -> int:
     """Scan a CSV file's bytes in bounded chunks before it is parsed.
 
     Raises ValueError at the first byte that is not valid UTF-8.  Returns
-    True when ``np.loadtxt`` reads the file as the csv module does: it holds
-    no quote character, so every row is one line, and no line is longer
-    than ``csv.field_size_limit()``, so the csv module rejects no field.
+    a bound on the file's line count, and so on its rows, when
+    ``np.loadtxt`` reads the file as the csv module does: it holds no quote
+    character, so every row is one line, and no line is longer than
+    ``csv.field_size_limit()``, so the csv module rejects no field.
+    Otherwise returns 0.
     """
     limit = csv.field_size_limit()
     decoder = codecs.getincrementaldecoder("utf-8")()
@@ -389,6 +395,7 @@ def _plain_csv(path: str) -> bool:
     offset = 0
     last_newline = -1
     longest = 0  # the widest distance between newlines, the file edges counted
+    lines = 1  # line ends ("\r\n" counts twice), plus the line after the last
     with open(path, "rb") as fh:
         # Chunks are no longer than the limit, so only a line that crosses
         # a chunk boundary can exceed it.
@@ -399,6 +406,11 @@ def _plain_csv(path: str) -> bool:
             except UnicodeDecodeError as exc:
                 raise _utf8_error(path, exc, offset - pending) from None
             quoted = quoted or b'"' in chunk
+            # numpy counts bytes several times faster than bytes.count.
+            codes = np.frombuffer(chunk, dtype=np.uint8)
+            lines += int(np.count_nonzero(codes == ord("\n")))
+            if b"\r" in chunk:
+                lines += int(np.count_nonzero(codes == ord("\r")))
             first = chunk.find(b"\n")
             if first >= 0:
                 longest = max(longest, offset + first - last_newline)
@@ -409,27 +421,36 @@ def _plain_csv(path: str) -> bool:
     except UnicodeDecodeError as exc:
         raise _utf8_error(path, exc, offset - len(exc.object)) from None
     longest = max(longest, offset - last_newline)
-    return not quoted and longest <= limit
+    return lines if not quoted and longest <= limit else 0
 
 
 def _load_csv_series(path: str, column: str | None) -> NumericSeries:
     """Read one CSV column: one ``np.loadtxt`` call, or the row loop.
 
     The vectorized read runs only on files :func:`_plain_csv` passes, and
-    after the same header sniff as the row loop.  Its series is built inside
-    the ``try``, so a NaN sample too sends the file to the row loop, which
-    cites its line.
+    after the same header sniff as the row loop.  A NaN sample too sends
+    the file to the row loop, which cites its line.  Either read's array
+    becomes the series as it is, without a second copy.  ``np.loadtxt``
+    gets the scan's line bound as ``max_rows``, which lets it size its
+    array once instead of growing it.
     """
-    if _plain_csv(path):
+    if lines := _plain_csv(path):
         try:
             with open(path, newline="", encoding="utf-8-sig") as fh:
                 reader = csv.reader(fh)
                 index, _, _ = _csv_head(path, reader, column)
-            samples = np.loadtxt(
-                path, delimiter=",", skiprows=reader.line_num - 1, usecols=index,
-                comments=None, encoding="utf-8-sig", dtype=np.float64, ndmin=1,
-            )
-            return NumericSeries(samples)
+            with warnings.catch_warnings():
+                # With max_rows set, numpy warns that blank lines are not
+                # rows; the bound already counts them.
+                warnings.simplefilter("ignore", UserWarning)
+                samples = np.loadtxt(
+                    path, delimiter=",", skiprows=reader.line_num - 1, usecols=index,
+                    comments=None, encoding="utf-8-sig", dtype=np.float64, ndmin=1,
+                    max_rows=lines,
+                )
+            # min is NaN if any sample is, and needs no mask of n bools.
+            if samples.size and not np.isnan(samples.min()):
+                return NumericSeries._own(samples)
         except Exception:
             # loadtxt accepts less than float() does ("1_0", non-ASCII
             # digits, whitespace-only rows), and its errors read differently.
@@ -468,7 +489,8 @@ def _read_csv_rows(path: str, column: str | None) -> NumericSeries:
         except csv.Error as exc:
             # e.g. a field over csv.field_size_limit(); not a ValueError
             raise ValueError(f"{path}: {exc} at line {reader.line_num}") from None
-    return NumericSeries(np.array(values, dtype=np.float64))
+    # _csv_head gave at least one row, and the loop rejects NaN.
+    return NumericSeries._own(np.array(values, dtype=np.float64))
 
 
 # What fails one unit, not the run: a bad, unreadable or oversized input.
@@ -488,12 +510,19 @@ def _to_symbols(data: SymbolSequence | NumericSeries, config: RunConfig) -> Symb
 def _windows(
     data: SymbolSequence | NumericSeries, w: int
 ) -> Iterator[SymbolSequence | NumericSeries | None]:
-    """Full length-w windows of one input in order, then None for a partial rest."""
+    """Full length-w windows of one input in order, then None for a partial
+    rest.  A numeric window is a read-only view of the input, which only
+    digitizing reads.  A symbol window is the analyzed unit itself, so it
+    gets its own copy: a view would keep the whole input alive while the
+    next one loads."""
     numeric = isinstance(data, NumericSeries)
     values = data.samples if numeric else data.data
     for start in range(0, len(values) - w + 1, w):
         piece = values[start : start + w]
-        yield NumericSeries(piece) if numeric else SymbolSequence(data.alphabet, piece)
+        if numeric:
+            yield NumericSeries._own(piece)
+        else:
+            yield SymbolSequence._own(data.alphabet, piece.copy())
     if len(values) % w:
         yield None
 

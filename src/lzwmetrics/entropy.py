@@ -78,16 +78,36 @@ def _code_counts(grams: np.ndarray, size: int) -> np.ndarray:
     return np.unique(grams, return_counts=True)[1]
 
 
+def _pair_ranks(prefix: np.ndarray, symbol: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ranks of the (prefix, symbol) pairs in lexicographic order, and the
+    number of distinct pairs."""
+    order = np.lexsort((symbol, prefix))
+    prefix, symbol = prefix[order], symbol[order]
+    new = np.empty(order.size, dtype=np.bool_)
+    new[0] = True
+    new[1:] = (prefix[1:] != prefix[:-1]) | (symbol[1:] != symbol[:-1])
+    seen = np.cumsum(new)
+    ranks = np.empty(order.size, dtype=np.int64)
+    ranks[order] = seen - 1
+    return ranks, int(seen[-1])
+
+
 def _block_entropies(seq: SymbolSequence, q_lo: int, q_hi: int) -> list[float]:
     """Block entropies of orders q_lo..q_hi, in order; both bounds must be valid."""
     A = seq.alphabet.size
     data = seq.data
+    if data.dtype == np.uint64:
+        # Symbols lie below 2**63, so they read the same as int64, and the
+        # sums below stay in int64.
+        data = data.view(np.int64)
     n = len(seq)
     blocks = []
     # Order-q codes rank the windows in lexicographic order and lie below
     # ``size``.  Order q + 1 extends them in place (drop the last code, shift
     # by A, add the next symbol); codes that would leave int64 are first
-    # replaced by their ranks among the distinct codes.
+    # replaced by their ranks among the distinct codes.  Where even the
+    # ranks times A would leave it (A near 2**63), the windows are numbered
+    # by ranking (rank, next symbol) pairs instead.
     grams = data.astype(np.int64)
     size = A
     for q in range(1, q_hi + 1):
@@ -95,10 +115,13 @@ def _block_entropies(seq: SymbolSequence, q_lo: int, q_hi: int) -> list[float]:
             if size * A > 2**63:
                 distinct, grams = np.unique(grams, return_inverse=True)
                 size = distinct.size
-            grams = grams[:-1]
-            grams *= A
-            grams += data[q - 1 :]
-            size *= A
+            if size * A > 2**63 or A >= 2**63:
+                grams, size = _pair_ranks(grams[:-1], data[q - 1 :])
+            else:
+                grams = grams[:-1]
+                grams *= A
+                grams += data[q - 1 :]
+                size *= A
         if q >= q_lo:
             blocks.append(_entropy_bits(_code_counts(grams, size), n - q + 1))
     return blocks
@@ -111,7 +134,9 @@ def empirical_block_entropy(seq: SymbolSequence, q: int) -> float:
     positions up to boundary terms.  Each window gets one int64 code that
     keeps the lexicographic window order, built from the order-(q-1) codes
     in one pass per order; where the next codes could overflow, the
-    order-(q-1) codes are first renumbered by rank.  The codes are counted
+    order-(q-1) codes are first renumbered by rank, and where even the
+    ranks would (alphabets near 2**63), the windows are numbered by
+    ranking their (prefix rank, last symbol) pairs.  The codes are counted
     by direct addressing when their range is no larger than the number of
     windows, so the count table is never larger than the code array;
     otherwise they are sorted.

@@ -298,7 +298,7 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> SymbolSequence:
     few numpy passes; larger chains pick them one draw at a time.  Both
     give the symbols of the one-draw-at-a-time rule.  Sampling needs that
     output plus one chunk of draws (under 3 MiB), and the returned
-    sequence's validated copy briefly doubles the output.
+    sequence keeps the output itself, without a copy or a range check.
     """
     if n < 1:
         raise ValueError(f"sequence length must be at least 1, got {n}")
@@ -313,8 +313,8 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> SymbolSequence:
         for start in range(0, n, _DRAW_CHUNK):
             stop = min(start + _DRAW_CHUNK, n)
             np.less(rng.random(stop - start), spec.p, out=out[start:stop])
-        return SymbolSequence(alphabet, out)
-    return SymbolSequence(alphabet, _sample_markov(spec, n, rng))
+        return SymbolSequence._own(alphabet, out.view(np.uint8))
+    return SymbolSequence._own(alphabet, _sample_markov(spec, n, rng))
 
 
 def _sample_markov(spec: ProcessSpec, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -201,4 +201,5 @@ def decode(codes: Iterable[int], alphabet: Alphabet) -> SymbolSequence:
         entries.append(prev + (entry[0],))
         out.extend(entry)
         prev = entry
-    return SymbolSequence(alphabet, np.array(out, dtype=_symbol_dtype(A)))
+    # Every entry is built from single-symbol codes below A.
+    return SymbolSequence._own(alphabet, np.array(out, dtype=_symbol_dtype(A)))

@@ -45,6 +45,20 @@ def _symbol_dtype(alphabet_size: int) -> np.dtype:
     return np.min_scalar_type(min(alphabet_size, _SYMBOL_LIMIT) - 1)
 
 
+def _check_symbols(alphabet: Alphabet, arr: np.ndarray) -> None:
+    """Raise ValueError unless ``arr`` is a one-dimensional, non-empty run of
+    symbols in 0..A-1."""
+    if arr.ndim != 1:
+        raise ValueError("symbol data must be one-dimensional")
+    if arr.size == 0:
+        raise ValueError("symbol sequence must contain at least one symbol")
+    if int(arr.min()) < 0 or int(arr.max()) >= min(alphabet.size, _SYMBOL_LIMIT):
+        raise ValueError(
+            f"symbols must lie in 0..{alphabet.size - 1} "
+            f"for an alphabet of size {alphabet.size}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class SymbolSequence:
     """Immutable run of symbol indices drawn from a fixed alphabet.
@@ -56,7 +70,9 @@ class SymbolSequence:
     accepts any one-dimensional integer-valued input; integer and bool
     arrays are checked in their own type, anything else goes through int64
     as ``np.array(data, dtype=np.int64)`` converts it (floats truncate).
-    The stored array is always the constructor's own copy.
+    The constructor stores its own copy, so the caller's array stays the
+    caller's.  Arrays the package builds itself, and unpickled ones, are
+    kept as they are, without a copy (see :meth:`_own`).
     """
 
     alphabet: Alphabet
@@ -66,27 +82,33 @@ class SymbolSequence:
         arr = self.data
         if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "biu"):
             arr = np.array(arr, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ValueError("symbol data must be one-dimensional")
-        if arr.size == 0:
-            raise ValueError("symbol sequence must contain at least one symbol")
-        if int(arr.min()) < 0 or int(arr.max()) >= min(self.alphabet.size, _SYMBOL_LIMIT):
-            raise ValueError(
-                f"symbols must lie in 0..{self.alphabet.size - 1} "
-                f"for an alphabet of size {self.alphabet.size}"
-            )
+        _check_symbols(self.alphabet, arr)
         arr = arr.astype(_symbol_dtype(self.alphabet.size))
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
+
+    @classmethod
+    def _own(cls, alphabet: Alphabet, data: np.ndarray) -> SymbolSequence:
+        """Keep ``data`` as the sequence's symbols, without a copy or a scan.
+
+        For arrays the package has just built: one-dimensional, non-empty,
+        in the storage type, every symbol below A, and referenced by no one
+        else who writes to it.  ``data`` is made read-only.
+        """
+        assert data.ndim == 1 and data.dtype == _symbol_dtype(alphabet.size)
+        data.flags.writeable = False
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "alphabet", alphabet)
+        object.__setattr__(seq, "data", data)
+        return seq
 
     def __len__(self) -> int:
         return int(self.data.size)
 
     def __reduce__(self) -> tuple:
         # A pickle carries the stored symbols as they are (one byte each up to
-        # A = 256), and unpickling rebuilds the sequence through the
-        # validating constructor.
-        return SymbolSequence, (self.alphabet, self.data)
+        # A = 256); unpickling checks them and keeps the array it decoded.
+        return _unpickle_sequence, (self.alphabet, self.data)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolSequence):
@@ -99,12 +121,28 @@ class SymbolSequence:
         return f"SymbolSequence(A={self.alphabet.size}, n={len(self)}, [{head}{tail}])"
 
 
+def _unpickle_sequence(alphabet: Alphabet, data: np.ndarray) -> SymbolSequence:
+    """Rebuild a pickled sequence: its array must be in the storage type and
+    pass the constructor's checks, and is kept without a copy."""
+    if not (isinstance(alphabet, Alphabet) and isinstance(data, np.ndarray)):
+        raise ValueError("pickled symbol sequence needs an Alphabet and an array")
+    if data.dtype != _symbol_dtype(alphabet.size):
+        raise ValueError(
+            f"pickled symbols must be stored as {_symbol_dtype(alphabet.size)} "
+            f"for an alphabet of size {alphabet.size}, not {data.dtype}"
+        )
+    _check_symbols(alphabet, data)
+    return SymbolSequence._own(alphabet, data)
+
+
 @dataclass(frozen=True, eq=False)
 class NumericSeries:
-    """Real-valued samples awaiting digitization.
+    """Real-valued samples awaiting digitization, stored as read-only float64.
 
     NaN samples are rejected outright: silently dropping them would change
-    the sequence length and break comparability across recordings.
+    the sequence length and break comparability across recordings.  The
+    constructor stores its own copy; arrays the package builds itself are
+    kept as they are (see :meth:`_own`).
     """
 
     samples: np.ndarray
@@ -119,6 +157,17 @@ class NumericSeries:
             raise ValueError("numeric series contains NaN samples")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
+
+    @classmethod
+    def _own(cls, samples: np.ndarray) -> NumericSeries:
+        """Keep ``samples`` without a copy or a scan: a one-dimensional,
+        non-empty float64 array without NaN that the package has just built
+        and no one else writes to.  ``samples`` is made read-only."""
+        assert samples.ndim == 1 and samples.dtype == np.float64
+        samples.flags.writeable = False
+        series = object.__new__(cls)
+        object.__setattr__(series, "samples", samples)
+        return series
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -142,29 +191,29 @@ def digitize_quantiles(series: NumericSeries, levels: int) -> SymbolSequence:
     (``method="lower"``): exact, where a rounded interpolation can land on
     the upper sample (1 + 2**-52 and 1 + 2**-51 would both map to 0) or
     overflow across more than the float64 range.
+
+    Symbols lie in 0..levels-1 by construction, so they are cast once to
+    the storage type and kept without a range check or a further copy.
     """
     if levels < 2:
         raise ValueError(f"levels must be at least 2, got {levels}")
     cuts = np.quantile(series.samples, np.arange(1, levels) / levels, method="lower")
     symbols = np.searchsorted(cuts, series.samples, side="left")
-    return SymbolSequence(Alphabet(levels), symbols)
+    return SymbolSequence._own(Alphabet(levels), symbols.astype(_symbol_dtype(levels)))
 
 
 def shuffle(seq: SymbolSequence, seed: int | np.random.SeedSequence) -> SymbolSequence:
     """Uniformly permute a sequence with a seed-determined generator.
 
     numpy's ``default_rng`` (PCG64 bit generator) runs a Fisher-Yates
-    shuffle in place on the new sequence's own validated copy of the
-    symbol data, the one copy this makes.  ``Generator.permutation`` is
-    defined as copy-then-shuffle and draws the same swaps for the data as
-    for the index range 0..n-1, so the output equals
-    ``seq.data[default_rng(seed).permutation(n)]``.  Identical (seq, seed)
-    pairs give identical output on every run and platform; length and
-    symbol multiset are exactly preserved.
+    shuffle in place on one copy of the symbol data, which the new
+    sequence then keeps: the one copy this makes, and no range check.
+    ``Generator.permutation`` is defined as copy-then-shuffle and draws
+    the same swaps for the data as for the index range 0..n-1, so the
+    output equals ``seq.data[default_rng(seed).permutation(n)]``.
+    Identical (seq, seed) pairs give identical output on every run and
+    platform; length and symbol multiset are exactly preserved.
     """
-    out = SymbolSequence(seq.alphabet, seq.data)
-    data = out.data
-    data.flags.writeable = True
+    data = seq.data.copy()
     np.random.default_rng(seed).shuffle(data)
-    data.flags.writeable = False
-    return out
+    return SymbolSequence._own(seq.alphabet, data)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,15 @@ import numpy as np
 import pytest
 
 import lzwmetrics
-from lzwmetrics import Alphabet, SymbolSequence, analyze, cli, generate, symmetric_binary_markov
+from lzwmetrics import (
+    Alphabet,
+    NumericSeries,
+    SymbolSequence,
+    analyze,
+    cli,
+    generate,
+    symmetric_binary_markov,
+)
 from lzwmetrics.cli import csv_header, emit_report, main
 
 
@@ -189,6 +198,13 @@ class TestGeneratorInput:
             assert report.pop("source") == spec
             reports.append(report)
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("symbol", [2**32, 2**62, 2**63 - 1])
+    def test_symbols_past_32_bits(self, capsys, symbol):
+        spec = f"constant:symbol={symbol},n=100"
+        code, out, err = run_cli(capsys, "--generate", spec, "--surrogates", "0")
+        assert (code, err) == (0, "")
+        assert json_lines(out)[0]["alphabet_size"] == symbol + 1
 
     def test_markov_shorthand(self, capsys):
         code, out, _ = run_cli(
@@ -414,6 +430,21 @@ class TestCsvInput:
         assert report["alphabet_size"] == 4
         assert abs(report["h0"] - 2.0) < 1e-6
 
+    def test_loading_keeps_one_float_per_row(self, tmp_path):
+        # the np.loadtxt array becomes the series: no second float64 copy
+        rows = 200_000
+        path = tmp_path / "rows.csv"
+        values = np.random.default_rng(4).standard_normal(rows)
+        path.write_text("t,value\n" + "".join(f"{i},{v:.6f}\n" for i, v in enumerate(values)))
+        tracemalloc.start()
+        try:
+            series = cli._load_csv_series(str(path), "value")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == rows
+        assert peak < 1.25 * 8 * rows
+
     def test_nan_sample_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "holes.csv"
         path.write_text("1.0\nnan\n3.0\n4.0\n")
@@ -549,7 +580,21 @@ class TestCsvInput:
         path.write_text("t,value\n\n0,1.5\r\n1, -2e3 \n2,inf\n\n" + rows)
         reference = cli._read_csv_rows(str(path), "value").samples
         monkeypatch.setattr(cli, "_read_csv_rows", None)
-        assert cli._load_csv_series(str(path), "value").samples.tolist() == reference.tolist()
+        with warnings.catch_warnings():
+            # blank lines draw no warning from the vectorized read, which
+            # would otherwise fall back to the (removed) row loop
+            warnings.simplefilter("error")
+            series = cli._load_csv_series(str(path), "value")
+        assert series.samples.tolist() == reference.tolist()
+
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_every_line_end_counts_toward_the_rows(self, tmp_path, monkeypatch, end):
+        # the vectorized read takes no more rows than the scan counted lines
+        values = [float(f"{i / 3:.6f}") for i in range(500)]
+        path = tmp_path / "ends.csv"
+        path.write_text(end.join(map(repr, values)) + end, newline="")
+        monkeypatch.setattr(cli, "_read_csv_rows", None)
+        assert cli._load_csv_series(str(path), None).samples.tolist() == values
 
 
 class TestWindowing:
@@ -597,6 +642,20 @@ class TestWindowing:
         assert code == 0
         assert len(json_lines(out)) == 4
         assert "dropped 0" in err
+
+    def test_numeric_windows_are_views_and_symbol_windows_copies(self):
+        symbols = SymbolSequence(Alphabet(300), np.arange(10) * 29)
+        series = NumericSeries(np.arange(10.0))
+        for data, values, stored, shared in (
+            (symbols, symbols.data, lambda w: w.data, False),
+            (series, series.samples, lambda w: w.samples, True),
+        ):
+            *windows, rest = cli._windows(data, 4)
+            assert rest is None and len(windows) == 2
+            for i, window in enumerate(map(stored, windows)):
+                assert np.array_equal(window, values[4 * i : 4 * i + 4])
+                assert np.shares_memory(window, values) == shared
+                assert not window.flags.writeable
 
     def test_numeric_windows_digitize_independently(self, tmp_path, capsys):
         path = tmp_path / "ramp.csv"
@@ -1007,6 +1066,23 @@ class TestDeterminism:
             assert started == ([] if workers == 1 else [workers, workers])
             runs.append((to_stdout, to_file, out_file.read_text()))
         assert runs[0] == runs[1] == runs[2]
+
+        # A = 300: uint16 symbols, pickled to the workers and unpickled there
+        recording = tmp_path / "rec.csv"
+        recording.write_text("".join(f"{v:.6f}\n" for v in rng.standard_normal(300)))
+        wide = [
+            "--input", str(recording), "--format", "csv", "--digitizer", "quantiles:300",
+            *window, "--surrogates", "3", "--qmax", "2", "--output-format", output_format,
+        ]
+        wide_runs = []
+        for workers in (1, 2, 3):
+            started = forced_pool(monkeypatch, workers)
+            wide_runs.append(run_cli(capsys, *wide))
+            assert started == ([] if workers == 1 else [workers])
+        assert wide_runs[0] == wide_runs[1] == wide_runs[2]
+        code, out, _ = wide_runs[0]
+        assert code == 0
+        assert len(out.splitlines()) == (5 if window else 1) + (output_format == "csv")
 
         (code, out, err), (_, file_out, _), file_text = runs[0]
         assert code == 1

@@ -216,6 +216,21 @@ class TestEntropyProfile:
             tracemalloc.stop()
         assert peak < 128 * len(s)
 
+    @pytest.mark.parametrize(
+        "A", [2**33, 2**62, 2**63, 2**64], ids=lambda A: f"2^{A.bit_length() - 1}"
+    )
+    def test_alphabets_past_32_bits_match_the_oracle(self, A):
+        # uint64 symbols; from A = 2**62 even three ranks times A leave
+        # int64, so the windows are numbered by ranking pairs
+        top = min(A, 2**63) - 1
+        rng = np.random.default_rng(38)
+        symbols = np.array([0, top // 2, top], dtype=np.uint64)[rng.integers(0, 3, 400)]
+        profile = entropy_profile(SymbolSequence(Alphabet(A), symbols), 6)
+        blocks = [gram_entropy_bits(symbols.tolist(), q) for q in range(1, 8)]
+        assert profile.h0 == pytest.approx(blocks[0], abs=1e-12)
+        for got, lo, hi in zip(profile.hq, blocks, blocks[1:]):
+            assert got == pytest.approx(max(0.0, hi - lo), abs=1e-12)
+
     def test_rejects_excessive_q_max(self):
         with pytest.raises(ValueError):
             entropy_profile(seq([0, 1, 0, 1]), 4)

@@ -192,6 +192,15 @@ class TestProcessSpecValidation:
         assert len({spec, twin, back, spec, back}) == 3
         assert generate(back, 50, 4) == generate(spec, 50, 4)
 
+    def test_generate_checks_a_pattern_changed_after_construction(self):
+        # unpickling restores a spec's fields unchecked; generate still
+        # range-checks a periodic spec's symbols
+        spec = ProcessSpec.periodic([0, 1])
+        twin = copy.copy(spec)
+        twin.__setstate__(dict(spec.__dict__, pattern=(0, 5)))
+        with pytest.raises(ValueError, match="symbols must lie in 0..1"):
+            generate(pickle.loads(pickle.dumps(twin)), 6, 0)
+
     def test_markov_with_a_transient_state_is_valid(self):
         spec = ProcessSpec.markov([[0.5, 0.5], [0.0, 1.0]])
         assert generate(spec, 100, 0).data.tolist() == [1] * 100

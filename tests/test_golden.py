@@ -41,6 +41,11 @@ def _symbol_dir(root):
     (folder / "d.txt").write_text("3\n")
 
 
+def _decimal(root):
+    rng = np.random.default_rng(17)
+    (root / "dec.txt").write_text(_symbol_text(rng.integers(0, 10, 4000)))
+
+
 def _recordings(root):
     rng = np.random.default_rng(5)
     x, values = 0.0, []
@@ -94,6 +99,16 @@ CASES = {
         _recordings,
         ["--input", "rec.csv", "--format", "csv", "--column", "1", "--digitizer", "quantiles:3",
          "--surrogates", "0", "--qmax", "5"],
+    ),
+    # A = 300 stores symbols as uint16, from a symbol file and from a digitizer.
+    "symbols-alphabet-300": (
+        _decimal,
+        ["--input", "dec.txt", "--alphabet-size", "300", "--surrogates", "2", "--seed", "8"],
+    ),
+    "csv-quantiles-300-windows": (
+        _recordings,
+        ["--input", "rec.csv", "--format", "csv", "--column", "value", "--digitizer",
+         "quantiles:300", "--window", "1200", "--surrogates", "2", "--qmax", "2"],
     ),
     "output-file": (
         _symbol_dir,

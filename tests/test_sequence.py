@@ -77,6 +77,17 @@ class TestStorage:
         if isinstance(data, np.ndarray):
             assert not np.shares_memory(s.data, data)
 
+    def test_constructors_copy_the_callers_array(self):
+        symbols = np.array([0, 1, 1, 0], dtype=np.uint8)
+        samples = np.array([0.5, 1.5, 2.5])
+        s = SymbolSequence(Alphabet(2), symbols)
+        series = NumericSeries(samples)
+        symbols[:] = 1
+        samples[:] = 9.0
+        assert s.data.tolist() == [0, 1, 1, 0]
+        assert series.samples.tolist() == [0.5, 1.5, 2.5]
+        assert symbols.flags.writeable and samples.flags.writeable
+
     @pytest.mark.parametrize("A", _STORAGE_ALPHABETS)
     def test_rejections(self, A):
         bounds = f"symbols must lie in 0..{A - 1} for an alphabet of size {A}"
@@ -105,6 +116,20 @@ class _TamperedPickle:
         return SymbolSequence, (Alphabet(2), np.array([0, 2], dtype=np.uint8))
 
 
+# What a sequence's pickle calls to rebuild it.
+_REBUILD = SymbolSequence(Alphabet(2), [0]).__reduce__()[0]
+
+
+class _RebuildPickle:
+    """Pickles as a sequence whose rebuild arguments are ``args``."""
+
+    def __init__(self, *args):
+        self.args = args
+
+    def __reduce__(self):
+        return _REBUILD, self.args
+
+
 class TestPickle:
     @pytest.mark.parametrize("A", [2, 256, 257, 300])
     def test_round_trip(self, A):
@@ -122,6 +147,34 @@ class TestPickle:
     def test_unpickling_validates_the_symbols(self):
         with pytest.raises(ValueError, match="symbols must lie in 0..1"):
             pickle.loads(pickle.dumps(_TamperedPickle()))
+
+    @pytest.mark.parametrize(
+        "alphabet, data, message",
+        [
+            (Alphabet(2), np.array([0, 2], dtype=np.uint8),
+             "symbols must lie in 0..1 for an alphabet of size 2"),
+            (Alphabet(300), np.array([0, 300], dtype=np.uint16),
+             "symbols must lie in 0..299 for an alphabet of size 300"),
+            (Alphabet(2), np.zeros((2, 2), dtype=np.uint8), "symbol data must be one-dimensional"),
+            (Alphabet(2), np.array([], dtype=np.uint8),
+             "symbol sequence must contain at least one symbol"),
+            (Alphabet(2), np.array([0, 1], dtype=np.int64),
+             "pickled symbols must be stored as uint8 for an alphabet of size 2, not int64"),
+            (Alphabet(300), np.array([0, 1], dtype=np.uint8),
+             "pickled symbols must be stored as uint16 for an alphabet of size 300, not uint8"),
+            (Alphabet(2), [0, 1], "pickled symbol sequence needs an Alphabet and an array"),
+        ],
+        ids=["range", "range-uint16", "2-d", "empty", "int64", "uint8-for-300", "list"],
+    )
+    def test_tampered_pickles_are_rejected(self, alphabet, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pickle.loads(pickle.dumps(_RebuildPickle(alphabet, data)))
+
+    def test_unpickling_keeps_the_decoded_array(self):
+        data = np.array([0, 1, 1], dtype=np.uint8)
+        s = _REBUILD(Alphabet(2), data)
+        assert s.data is data
+        assert not data.flags.writeable
 
 
 def median(samples):
