@@ -3,8 +3,9 @@
 Feeds symbol files, CSV recordings, or synthetic generator output through
 the metric pipeline and emits one report per unit (a whole input, or each
 full fixed-length window of it) as JSON lines or CSV rows.  Symbol files
-are UTF-8 and hold the ASCII digits ``0``..``A-1``, whitespace ignored.  CSV
-files are UTF-8 too.  A plain numeric one takes a vectorized ``np.loadtxt``
+are UTF-8 and hold the ASCII digits ``0``..``A-1``, whitespace ignored; an
+all-ASCII one is read as bytes, without a string of its text.  CSV files
+are UTF-8 too.  A plain numeric one takes a vectorized ``np.loadtxt``
 read; quoted or oversized input, or any file that read rejects, falls back
 to a ``csv.reader`` row parser with the same samples and messages.  CSV
 load errors cite file line numbers, blank lines counted.  One leading
@@ -27,7 +28,9 @@ processes, one per CPU the process may run on, with that many units in
 flight; otherwise they run in-process.  The parent only loads, cuts,
 digitizes, combines and serializes, and the reports do not depend on the
 worker count.  Fork keeps numpy imported in the workers and makes them this
-process's own children, whose CPU time and memory ``wait4`` counts.
+process's own children, whose CPU time and memory ``wait4`` counts.  The
+pool imports ``numpy.random`` before it forks, so the workers share one
+import of it instead of each paying for its own at its first shuffle.
 """
 
 from __future__ import annotations
@@ -301,24 +304,45 @@ def _utf8_error(path: str, exc: UnicodeDecodeError, offset: int = 0) -> ValueErr
     )
 
 
+# The bytes that are not ASCII whitespace as ``str.split()`` sees it: tab,
+# LF, VT, FF, CR, 0x1c-0x1f and space.
+_NOT_SPACE = np.ones(256, dtype=bool)
+_NOT_SPACE[[*b"\t\n\v\f\r\x1c\x1d\x1e\x1f "]] = False
+
+
 def _load_symbol_file(path: str, alphabet_size: int) -> SymbolSequence:
+    """Read a symbol file: ASCII as bytes, anything else as UTF-8 text.
+
+    Both reads drop one leading byte-order mark and the whitespace
+    ``str.split()`` drops.  An ASCII file is masked as a byte array and
+    never becomes a string; a file with any byte from 0x80 up is decoded,
+    so undecodable bytes and non-ASCII characters get their messages.
+    """
+    # Not np.fromfile, which fails on a pipe: it asks for the file position.
     raw = Path(path).read_bytes()
-    try:
-        # Not "utf-8-sig": its error positions skip the byte-order mark.
-        text = "".join(raw.decode("utf-8").removeprefix("\ufeff").split())
-    except UnicodeDecodeError as exc:
-        raise _utf8_error(path, exc) from None
-    if not text:
+    body = np.frombuffer(raw, dtype=np.uint8, offset=3 * raw.startswith(codecs.BOM_UTF8))
+    text = None
+    if body.size and body.max() >= 0x80:
+        try:
+            # Not "utf-8-sig": its error positions skip the byte-order mark.
+            text = "".join(raw.decode("utf-8").removeprefix("\ufeff").split())
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(path, exc) from None
+        # One byte per character: every non-ASCII character becomes "?",
+        # which is no symbol digit either.
+        values = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8).copy()
+    else:
+        values = body[_NOT_SPACE[body]]
+    if not values.size:
         raise ValueError(f"{path}: no symbols found")
-    # One byte per character: every non-ASCII character becomes "?", which
-    # is no symbol digit either, and the subtraction wraps every character
-    # below "0" past 9.
-    values = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
-    bad = np.flatnonzero(values >= min(alphabet_size, 10))
-    if bad.size:
-        first = int(bad[0])
+    # The subtraction wraps every character below "0" past 9.
+    values -= ord("0")
+    limit = min(alphabet_size, 10)
+    if values.max() >= limit:
+        first = int(np.argmax(values >= limit))
         if values[first] > 9:
-            raise ValueError(f"{path}: character {text[first]!r} is not a symbol digit")
+            char = text[first] if text else chr((int(values[first]) + ord("0")) % 256)
+            raise ValueError(f"{path}: character {char!r} is not a symbol digit")
         raise ValueError(
             f"{path}: symbol {values[first]} outside alphabet of size {alphabet_size}"
         )
@@ -676,11 +700,15 @@ def _fork_pool(workers: int) -> Iterator[Callable]:
 
     It returns the task's result getter.  Workers are this process's own
     children and are joined on exit; on an exception the queued tasks are
-    dropped and the running ones finish first.
+    dropped and the running ones finish first.  ``numpy.random``, which
+    every surrogate's shuffle needs, is imported before the workers fork,
+    so they share its pages with this process.
     """
     # Imported here: a run that never starts a pool does not pay for them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+
+    import numpy.random  # for the workers to inherit
 
     # Fork, not spawn: spawned workers import numpy again, about 30% more
     # CPU time on the surrogate workloads.  The pool forks all its workers

@@ -33,6 +33,14 @@ class Alphabet:
             raise ValueError(f"alphabet size must be an integer >= 2, got {self.size}")
         object.__setattr__(self, "size", int(self.size))
 
+    def __reduce__(self) -> tuple:
+        # Through the constructor, so an unpickled alphabet is checked too.
+        return type(self), (self.size,)
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickles written before __reduce__ restore the field by state.
+        self.__init__(**state)
+
 
 # Symbols stay in the int64 range that bounded them when they were stored as
 # int64, so no alphabet calls for a type beyond uint64.
@@ -43,6 +51,46 @@ def _symbol_dtype(alphabet_size: int) -> np.dtype:
     """Storage type of a sequence's symbols: the smallest unsigned type that
     holds A - 1 (uint8 up to A = 256, uint16 up to 65,536)."""
     return np.min_scalar_type(min(alphabet_size, _SYMBOL_LIMIT) - 1)
+
+
+def _pack_width(alphabet_size: int) -> int | None:
+    """Bits per symbol in a sequence's pickle: the smallest of 1, 2 and 4
+    that holds A - 1, or None above A = 16, whose symbols pickle unpacked."""
+    return next((w for w in (1, 2, 4) if alphabet_size <= 1 << w), None)
+
+
+def _pack(data: np.ndarray, width: int) -> np.ndarray:
+    """Pack one-byte symbols below 2**width into bytes, ``8 // width`` each,
+    the first in the high bits; the last byte is padded with zero bits."""
+    if width == 1:
+        return np.packbits(data)
+    per = 8 // width
+    # Read as a little-endian integer, a group of ``per`` symbols holds
+    # symbol j at bit 8j.  One multiplication adds a copy of the group at
+    # each multiple of 8 + width bits, which lands symbol j at bit
+    # 8 (per - 1) + width (per - 1 - j), in the top byte; the other copies
+    # fall below it or past the top, and no two overlap.
+    groups = np.zeros(-(-data.size // per), dtype=f"<u{per}")
+    groups.view(np.uint8)[: data.size] = data
+    groups *= sum(1 << (8 + width) * k for k in range(per))
+    groups >>= 8 * (per - 1)
+    return groups.astype(np.uint8)
+
+
+def _unpack(packed: np.ndarray, width: int, n: int) -> np.ndarray:
+    """The first ``n`` symbols :func:`_pack` packed at ``width`` bits."""
+    if width == 1:
+        return np.unpackbits(packed, count=n)
+    per = 8 // width
+    top = width * (per - 1)  # the first symbol's shift in its byte
+    # The inverse: copies of the byte shifted so that symbol j >= 1 lands
+    # at bit 8j, as the little-endian group's byte j, then masked; the
+    # first symbol is the byte shifted down.
+    groups = packed.astype(f"<u{per}")
+    groups *= sum(1 << (8 + width) * j - top for j in range(1, per))
+    groups &= sum(((1 << width) - 1) << 8 * j for j in range(1, per))
+    groups |= packed >> top
+    return groups.view(np.uint8)[:n]
 
 
 def _check_symbols(alphabet: Alphabet, arr: np.ndarray) -> None:
@@ -72,7 +120,10 @@ class SymbolSequence:
     as ``np.array(data, dtype=np.int64)`` converts it (floats truncate).
     The constructor stores its own copy, so the caller's array stays the
     caller's.  Arrays the package builds itself, and unpickled ones, are
-    kept as they are, without a copy (see :meth:`_own`).
+    kept as they are, without a copy (see :meth:`_own`).  A pickle packs
+    the symbols of an alphabet up to 16 at 1, 2 or 4 bits each, the
+    smallest width that holds A - 1; larger alphabets pickle the stored
+    array.
     """
 
     alphabet: Alphabet
@@ -106,9 +157,13 @@ class SymbolSequence:
         return int(self.data.size)
 
     def __reduce__(self) -> tuple:
-        # A pickle carries the stored symbols as they are (one byte each up to
-        # A = 256); unpickling checks them and keeps the array it decoded.
-        return _unpickle_sequence, (self.alphabet, self.data)
+        # Up to A = 16 a pickle carries the symbols packed at 1, 2 or 4 bits
+        # each, and their count; above, the stored array as it is.
+        # Unpickling checks them and keeps the array it decoded or unpacked.
+        width = _pack_width(self.alphabet.size)
+        if width is None:
+            return _unpickle_sequence, (self.alphabet, self.data)
+        return _unpickle_sequence, (self.alphabet, _pack(self.data, width), len(self))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolSequence):
@@ -121,9 +176,13 @@ class SymbolSequence:
         return f"SymbolSequence(A={self.alphabet.size}, n={len(self)}, [{head}{tail}])"
 
 
-def _unpickle_sequence(alphabet: Alphabet, data: np.ndarray) -> SymbolSequence:
-    """Rebuild a pickled sequence: its array must be in the storage type and
-    pass the constructor's checks, and is kept without a copy."""
+def _unpickle_sequence(
+    alphabet: Alphabet, data: np.ndarray, n: int | None = None
+) -> SymbolSequence:
+    """Rebuild a pickled sequence from its stored array, or from ``n``
+    symbols packed at the alphabet's pack width.  The array must be in the
+    storage type, and the symbols pass the constructor's checks and are
+    kept without a copy."""
     if not (isinstance(alphabet, Alphabet) and isinstance(data, np.ndarray)):
         raise ValueError("pickled symbol sequence needs an Alphabet and an array")
     if data.dtype != _symbol_dtype(alphabet.size):
@@ -131,6 +190,17 @@ def _unpickle_sequence(alphabet: Alphabet, data: np.ndarray) -> SymbolSequence:
             f"pickled symbols must be stored as {_symbol_dtype(alphabet.size)} "
             f"for an alphabet of size {alphabet.size}, not {data.dtype}"
         )
+    if n is not None:
+        width = _pack_width(alphabet.size)
+        if width is None:
+            raise ValueError(f"symbols of an alphabet of size {alphabet.size} do not pack")
+        if data.ndim != 1:
+            raise ValueError("symbol data must be one-dimensional")
+        if not (isinstance(n, int) and n >= 0 and data.size == -(-n * width // 8)):
+            raise ValueError(
+                f"{data.size} packed bytes do not hold {n!r} symbols of {width} bits"
+            )
+        data = _unpack(data, width, n)
     _check_symbols(alphabet, data)
     return SymbolSequence._own(alphabet, data)
 

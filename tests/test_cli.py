@@ -134,19 +134,69 @@ class TestSymbolInput:
         assert json_lines(err)[0]["error"] == f"{path}: byte 0xff at offset 5 is not valid UTF-8"
 
     def test_loading_takes_a_few_bytes_per_character(self, tmp_path):
-        # the text, one byte per character to check, and the sequence's
-        # one-byte symbols; no int64 or UTF-32 array of the text
+        # the file's bytes, one byte per byte to check, and the sequence's
+        # one-byte symbols; no int64 or UTF-32 array of the text, and no
+        # list of strings split from it
         n = 10**6
+        symbols = [str(s) for s in np.random.default_rng(3).integers(0, 4, n)]
         path = tmp_path / "symbols.txt"
-        path.write_text("".join(map(str, np.random.default_rng(3).integers(0, 4, n))) + "\n")
-        tracemalloc.start()
-        try:
-            s = cli._load_symbol_file(str(path), 4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(s) == n
-        assert peak < 8 * n
+        for sep, bound in (("", 8), (" ", 6)):
+            path.write_text(sep.join(symbols) + "\n")
+            tracemalloc.start()
+            try:
+                s = cli._load_symbol_file(str(path), 4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(s) == n
+            assert peak < bound * n, repr(sep)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_symbols_can_come_through_a_pipe(self):
+        # a pipe cannot tell its position or size; the read must not need them
+        code = "import sys\nfrom lzwmetrics.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        argv = ["--input", "/dev/stdin", "--surrogates", "0", "--qmax", "1"]
+        proc = python_child(
+            code, *argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        out, err = proc.communicate(b"\xef\xbb\xbf0110 100\n", timeout=60)
+        assert (proc.returncode, err) == (0, b"")
+        assert json.loads(out)["n"] == 7
+
+    @pytest.mark.parametrize(
+        "content, outcome",
+        [
+            (b"0120", "symbol 2 outside alphabet of size 2"),
+            (b"01x0", "character 'x' is not a symbol digit"),
+            (b"01-0", "character '-' is not a symbol digit"),
+            (b"01\x000", "character '\\x00' is not a symbol digit"),
+            (b"\xef\xbb\xbf0 1\n1", [0, 1, 1]),
+            (b"\xef\xbb\xbf\xef\xbb\xbf01", "character '\\ufeff' is not a symbol digit"),
+            (b"\xef\xbb\xbf01\xff", "byte 0xff at offset 5 is not valid UTF-8"),
+            ("01\u06631".encode(), "character '\u0663' is not a symbol digit"),
+            ("0\u00a01\u00a01".encode(), [0, 1, 1]),
+            (b"0\x1c1\t\x1f0\x0b\x0c\r\n", [0, 1, 0]),
+            (b"", "no symbols found"),
+            (b" \t\x1c\r\n", "no symbols found"),
+            (b"\xef\xbb\xbf", "no symbols found"),
+        ],
+        ids=["outside", "letter", "minus", "nul", "bom", "second-bom", "bom-then-bad-byte",
+             "arabic-indic-three", "no-break-spaces", "ascii-separators", "empty",
+             "whitespace-only", "bom-only"],
+    )
+    @pytest.mark.parametrize("tail", [b"", "\u00a0".encode()], ids=["as-is", "non-ascii-tail"])
+    def test_ascii_bytes_and_text_read_alike(self, tmp_path, content, outcome, tail):
+        # An ASCII file is read as bytes, any other as text; a trailing
+        # no-break space, which str.split() drops, sends a file to the text
+        # read, and both reads give the same symbols or the same message.
+        path = tmp_path / "symbols.txt"
+        path.write_bytes(content + tail)
+        if isinstance(outcome, list):
+            assert cli._load_symbol_file(str(path), 2).data.tolist() == outcome
+        else:
+            with pytest.raises(ValueError) as info:
+                cli._load_symbol_file(str(path), 2)
+            assert str(info.value) == f"{path}: {outcome}"
 
     def test_wider_alphabet(self, tmp_path, capsys):
         path = tmp_path / "quaternary.txt"
@@ -775,6 +825,22 @@ class TestStreaming:
             out, _ = proc.communicate(timeout=120)
             assert out.splitlines()[-1] == expected, argv
 
+    def test_pool_workers_start_with_numpy_random_imported(self):
+        # numpy imports numpy.random on first use; the pool imports it before
+        # it forks, so no worker pays for its own import at its first shuffle
+        code = (
+            "import sys\n"
+            "from lzwmetrics import cli\n"
+            "def imported():\n"
+            "    return 'numpy.random' in sys.modules\n"
+            "before = imported()\n"
+            "with cli._fork_pool(2) as submit:\n"
+            "    print(before, submit(imported)())\n"
+        )
+        proc = python_child(code, stdout=subprocess.PIPE, text=True)
+        out, _ = proc.communicate(timeout=60)
+        assert out.split() == ["False", "True"]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_unit_out_of_memory_fails_alone(self, tmp_path, capsys, monkeypatch, workers):
         path = tmp_path / "bits.txt"
@@ -1067,22 +1133,37 @@ class TestDeterminism:
             runs.append((to_stdout, to_file, out_file.read_text()))
         assert runs[0] == runs[1] == runs[2]
 
-        # A = 300: uint16 symbols, pickled to the workers and unpickled there
-        recording = tmp_path / "rec.csv"
-        recording.write_text("".join(f"{v:.6f}\n" for v in rng.standard_normal(300)))
-        wide = [
-            "--input", str(recording), "--format", "csv", "--digitizer", "quantiles:300",
-            *window, "--surrogates", "3", "--qmax", "2", "--output-format", output_format,
+        # Units pickled to the workers and unpickled there: symbols packed at
+        # 2 bits (A = 3) and 4 bits (A = 16), at lengths and windows off a
+        # multiple of 4, and stored as uint16 (A = 300)
+        ternary = tmp_path / "ternary"
+        ternary.mkdir()
+        for name, n in (("a.txt", 251), ("b.txt", 130)):
+            (ternary / name).write_text("".join(str(t) for t in rng.integers(0, 3, n)))
+        recordings = {}
+        for A, n in ((16, 303), (300, 300)):
+            recordings[A] = tmp_path / f"rec{A}.csv"
+            recordings[A].write_text("".join(f"{v:.6f}\n" for v in rng.standard_normal(n)))
+        odd_window = ["--window", "61"] if window else []
+        csv_input = ["--format", "csv", "--digitizer"]
+        cases = [
+            (["--input", str(ternary), "--alphabet-size", "3", *odd_window], 6 if window else 2),
+            (["--input", str(recordings[16]), *csv_input, "quantiles:16", *odd_window],
+             4 if window else 1),
+            (["--input", str(recordings[300]), *csv_input, "quantiles:300", *window],
+             5 if window else 1),
         ]
-        wide_runs = []
-        for workers in (1, 2, 3):
-            started = forced_pool(monkeypatch, workers)
-            wide_runs.append(run_cli(capsys, *wide))
-            assert started == ([] if workers == 1 else [workers])
-        assert wide_runs[0] == wide_runs[1] == wide_runs[2]
-        code, out, _ = wide_runs[0]
-        assert code == 0
-        assert len(out.splitlines()) == (5 if window else 1) + (output_format == "csv")
+        for source, reports in cases:
+            wide = [*source, "--surrogates", "3", "--qmax", "2", "--output-format", output_format]
+            wide_runs = []
+            for workers in (1, 2, 3):
+                started = forced_pool(monkeypatch, workers)
+                wide_runs.append(run_cli(capsys, *wide))
+                assert started == ([] if workers == 1 else [workers])
+            assert wide_runs[0] == wide_runs[1] == wide_runs[2], source
+            code, out, _ = wide_runs[0]
+            assert code == 0
+            assert len(out.splitlines()) == reports + (output_format == "csv")
 
         (code, out, err), (_, file_out, _), file_text = runs[0]
         assert code == 1
