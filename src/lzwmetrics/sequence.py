@@ -33,12 +33,8 @@ class Alphabet:
             raise ValueError(f"alphabet size must be an integer >= 2, got {self.size}")
         object.__setattr__(self, "size", int(self.size))
 
-    def __reduce__(self) -> tuple:
-        # Through the constructor, so an unpickled alphabet is checked too.
-        return type(self), (self.size,)
-
     def __setstate__(self, state: dict) -> None:
-        # Pickles written before __reduce__ restore the field by state.
+        # Through the constructor, so an unpickled alphabet is checked too.
         self.__init__(**state)
 
 

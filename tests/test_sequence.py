@@ -216,7 +216,7 @@ class TestPickle:
         with pytest.raises(ValueError, match=re.escape(message)):
             pickle.loads(pickle.dumps(_RebuildPickle(alphabet, packed, n)))
 
-    def test_unpickled_alphabets_are_checked(self, monkeypatch):
+    def test_unpickled_alphabets_are_checked(self):
         bad = Alphabet(2)
         object.__setattr__(bad, "size", 1)
         message = "alphabet size must be an integer >= 2, got 1"
@@ -225,14 +225,6 @@ class TestPickle:
         with pytest.raises(ValueError, match=re.escape(message)):
             pickle.loads(pickle.dumps(_RebuildPickle(bad, np.array([0], dtype=np.uint8))))
         assert pickle.loads(pickle.dumps(Alphabet(7))) == Alphabet(7)
-        # as pickled before Alphabet had __reduce__: the object, then its
-        # field as state
-        with monkeypatch.context() as m:
-            m.delattr(Alphabet, "__reduce__")
-            old_bad, old_good = pickle.dumps(bad), pickle.dumps(Alphabet(7))
-        with pytest.raises(ValueError, match=re.escape(message)):
-            pickle.loads(old_bad)
-        assert pickle.loads(old_good) == Alphabet(7)
 
     def test_unpickling_keeps_the_decoded_array(self):
         data = np.array([0, 1, 1], dtype=np.uint8)
