@@ -31,6 +31,13 @@ worker count.  Fork keeps numpy imported in the workers and makes them this
 process's own children, whose CPU time and memory ``wait4`` counts.  The
 pool imports ``numpy.random`` before it forks, so the workers share one
 import of it instead of each paying for its own at its first shuffle.
+
+The pool is the package's own (``_pool``, loaded only when a run starts
+one): each worker takes one pickled task at a time through its own pipe,
+so nothing imports ``multiprocessing`` and no thread starts.  A worker
+that exits or is killed while it holds a task fails only that task's unit,
+with a failure record naming its exit code or signal; a new worker is
+forked in its place and the run goes on.
 """
 
 from __future__ import annotations
@@ -693,11 +700,11 @@ def emit_report(report: MetricReport, output_format: str = "json", q_max: int | 
 
 # A run stays in-process until its parse work, the sum of n * (1 + S) over the
 # units so far, reaches this many symbols.  Starting and stopping a pool of
-# two fork workers adds about 70 ms and 1.1 MiB to a run, and this much work
-# is where the pool breaks even: on Bernoulli(0.5) input with S = 9, the
-# pool's wall time was +11 to +32 ms at 10^6 symbols and -40 to -55 ms at
-# 2*10^6 (median gaps of 12 alternating pairs, two sets; 2-core Xeon host,
-# Python 3.11, numpy 2.4).
+# two fork workers adds 9 to 21 ms to a run and no memory (peak RSS -0.3 MiB,
+# n = 2,000, S = 10), and this much work is where the pool breaks even: on
+# Bernoulli(0.5) input with S = 9, the pool's wall time was -10 and +4 ms at
+# 10^6 symbols and -61 and -49 ms at 2*10^6 (median gaps of 12 alternating
+# pairs, two sets; 2-core Xeon host, Python 3.11, numpy 2.4).
 _POOL_MIN_SYMBOLS = 10**6
 
 
@@ -713,29 +720,30 @@ def _workers() -> int:
 
 @contextmanager
 def _fork_pool(workers: int) -> Iterator[Callable]:
-    """Yield ``submit(fn, *args)`` for a pool of forked worker processes.
+    """Yield ``submit(fn, *args)`` for a pool of ``workers`` forked worker
+    processes; it returns the task's result getter.
 
-    It returns the task's result getter.  Workers are this process's own
-    children and are joined on exit; on an exception the queued tasks are
-    dropped and the running ones finish first.  ``numpy.random``, which
-    every surrogate's shuffle needs, is imported before the workers fork,
-    so they share its pages with this process.
+    The getter returns the task's result or raises its exception, chained to
+    the traceback it had in the worker, or a ``ChildProcessError`` naming the
+    exit code or signal of a worker that died holding the task.  Workers
+    are this process's own children and are reaped on exit, on an exception
+    too.  ``numpy.random``, which every surrogate's shuffle needs, is
+    imported before the workers fork, so they share its pages with this
+    process.
     """
-    # Imported here: a run that never starts a pool does not pay for them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
+    # Imported here: a run that never starts a pool does not load them.
     import numpy.random  # for the workers to inherit
 
+    from ._pool import ForkPool
+
     # Fork, not spawn: spawned workers import numpy again, about 30% more
-    # CPU time on the surrogate workloads.  The pool forks all its workers
-    # at the first submit, before it starts its own thread, and the CLI
-    # starts none.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    # CPU time on the surrogate workloads.  The CLI starts no thread, so
+    # forking is safe.
+    pool = ForkPool(workers)
     try:
-        yield lambda fn, *args: pool.submit(fn, *args).result
+        yield pool.submit
     finally:
-        pool.shutdown(cancel_futures=True)
+        pool.close()
 
 
 def _base_report(unit: SymbolSequence, q_max: int, seed: int) -> MetricReport:
@@ -768,7 +776,8 @@ def _submit_unit(
 def _report_line(label: str, tasks: list[Callable], config: RunConfig) -> str:
     """Combine one unit's task results into its report line, as
     ``analyze(unit, surrogates=S)`` would report it; raises ValueError or
-    MemoryError if the unit fails."""
+    MemoryError if the unit fails, or ChildProcessError if a pool worker
+    died holding one of its tasks."""
     report, *lengths = (get() for get in tasks)
     report = replace(report, source=label)
     if lengths:
@@ -813,7 +822,7 @@ def run(config: RunConfig) -> int:
             if not isinstance(outcome, str):
                 try:
                     line = _report_line(label, outcome, config)
-                except (ValueError, MemoryError) as exc:
+                except (ValueError, MemoryError, ChildProcessError) as exc:
                     outcome = _unit_error(exc)
                 else:
                     print(line, file=out, flush=True)

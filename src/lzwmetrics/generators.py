@@ -37,13 +37,16 @@ _PARAMETER = {"bernoulli": "p", "markov": "transition_table", "periodic": "patte
 _MAX_STATES = 65536
 
 # Random draws are taken this many at a time.  A Markov chunk over more than
-# two states lives as Python floats and ints (about 40 B per draw) while its
-# symbols are picked, a two-state chunk as numpy arrays (about 22 B per draw:
-# the doubles, one int64 index, a few bool masks), so memory beyond the
-# output stays under 3 MiB for any n.  Per-chunk overhead (one generator
-# call, one array store) is negligible at this size: chunks of 2^12 to 2^16
-# drew at the same speed in the per-symbol loop, and 2^18 or more was slower.
-_DRAW_CHUNK = 1 << 16
+# two states lives as Python floats and ints (about 41 B per draw) while its
+# symbols are picked, a two-state chunk as numpy arrays (about 38 B per draw:
+# the doubles, the int64 positions and reset index, a few bool masks), so
+# memory beyond the output stays under 0.33 MiB for any n (tracemalloc,
+# 10^6 symbols).  That keeps the two-state sampler from setting the CLI's
+# memory peak.  Per-chunk overhead (one generator call, one array store) is
+# small at this size: chunks of 2^12 to 2^16 drew at the same speed in the
+# per-symbol loop and the two-state sampler, 2^18 or more was slower, and
+# Bernoulli draws take about 0.3 ms more per 10^6 symbols than at 2^16.
+_DRAW_CHUNK = 1 << 13
 
 # The damped step stops once it moves pi by at most this much in L1, a few
 # units of float64 rounding on a unit-mass vector.  A chain that has not
@@ -297,7 +300,7 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> SymbolSequence:
     order 1, as every ``markov:eps`` spec) picks a chunk's symbols with a
     few numpy passes; larger chains pick them one draw at a time.  Both
     give the symbols of the one-draw-at-a-time rule.  Sampling needs that
-    output plus one chunk of draws (under 3 MiB), and the returned
+    output plus one chunk of draws (under 0.33 MiB), and the returned
     sequence keeps the output itself, without a copy or a range check.
     """
     if n < 1:

@@ -1,12 +1,13 @@
 import json
 import math
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from lzwmetrics import (
     analyze,
     cli,
     generate,
+    metrics,
     symmetric_binary_markov,
 )
 from lzwmetrics.cli import csv_header, emit_report, main
@@ -63,6 +65,36 @@ def forced_pool(monkeypatch, workers):
     monkeypatch.setattr(cli, "_workers", lambda: workers)
     monkeypatch.setattr(cli, "_fork_pool", spy)
     return started
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def surrogate_bits_ending_worker(death, unit_seed, surrogate, unit, seed, k):
+    """``_surrogate_bits``, except that the worker computing surrogate
+    ``surrogate`` of the unit seeded ``unit_seed`` ends: ``os._exit(death)``
+    for a number, or ``death`` sent to itself for a signal."""
+    if (seed, k) == (unit_seed, surrogate):
+        if isinstance(death, signal.Signals):
+            os.kill(os.getpid(), death)
+        os._exit(death)
+    return metrics._surrogate_bits(unit, seed, k)
+
+
+class ExitOnLoad:
+    """Ends the process that unpickles it with exit status 3."""
+
+    def __reduce__(self):
+        return (os._exit, (3,))
+
+
+def load_after(exit_on_load, padding, reduced):
+    """Rebuild an object from its ``__reduce__`` value ``reduced``; the other
+    arguments only come before it in the pickle stream."""
+    rebuild, args = reduced
+    return rebuild(*args)
 
 
 class TestSymbolInput:
@@ -758,7 +790,7 @@ class TestStreaming:
         argv = ["--input", str(path), "--window", "100", "--surrogates", "2", "--qmax", "2"]
         assert main(argv) == 0
         assert started == [2]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         reports = json_lines(capsys.readouterr().out)
         assert len(reports) == 3
 
@@ -774,19 +806,68 @@ class TestStreaming:
         with pytest.raises(RuntimeError, match="crash in the second unit"):
             main(argv)
         assert started == [2, 2]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert json_lines(capsys.readouterr().out) == reports[:1]
+
+    @pytest.mark.parametrize("death", ["exit", "kill", "task write"])
+    def test_a_unit_that_ends_its_worker_fails_alone(self, tmp_path, capsys, monkeypatch, death):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rng = np.random.default_rng(24)
+        for name, n in (("a.txt", 300), ("b.txt", 301), ("c.txt", 300), ("d.txt", 300)):
+            (corpus / name).write_text("".join(str(b) for b in rng.integers(0, 2, n)))
+        argv = ["--input", str(corpus), "--surrogates", "3", "--qmax", "2", "--seed", "40"]
+        code, clean, _ = run_cli(capsys, *argv)
+        assert code == 0
+        started = forced_pool(monkeypatch, 2)
+        if death == "task write":
+            # b.txt's unit, seeded 41, ends each worker that unpickles it
+            # before that worker has read the 4 MiB that follow in the pipe,
+            # so the parent's write of the task fails with EPIPE
+            real_reduce = SymbolSequence.__reduce__
+
+            def reduce_ending_worker(unit):
+                if len(unit) != 301:
+                    return real_reduce(unit)
+                return load_after, (ExitOnLoad(), bytes(1 << 22), real_reduce(unit))
+
+            monkeypatch.setattr(SymbolSequence, "__reduce__", reduce_ending_worker)
+            error = "exit code 3"
+        else:
+            # the workers get the patched function by pickle, hence a partial
+            # of a module-level function
+            ending = 3 if death == "exit" else signal.SIGKILL
+            error = "exit code 3" if death == "exit" else "killed by signal 9"
+            bits = partial(surrogate_bits_ending_worker, ending, 41, 2)
+            monkeypatch.setattr(cli, "_surrogate_bits", bits)
+        code, out, err = run_cli(capsys, *argv)
+        assert started == [2]
+        assert code == 1
+        a, _, c, d = clean.splitlines(keepends=True)
+        assert out == a + c + d
+        assert json_lines(err) == [
+            {"source": str(corpus / "b.txt"), "error": f"analysis worker terminated ({error})"}
+        ]
+        assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_closed_stdout_ends_the_run_quietly(self, tmp_path, workers):
         path = tmp_path / "bits.txt"
         path.write_text("0110" * 50_000)  # 2,000 reports, more than a pipe buffers
+        # After the run, neither pool module is imported and no worker is
+        # left; either failure would print a traceback or change the status.
         code = (
-            "import sys\n"
+            "import os, sys\n"
             "from lzwmetrics import cli\n"
             f"cli._workers = lambda: {workers}\n"
             "cli._POOL_MIN_SYMBOLS = 0\n"
-            "sys.exit(cli.main(sys.argv[1:]))\n"
+            "status = cli.main(sys.argv[1:])\n"
+            "assert not {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    sys.exit(status)\n"
+            "sys.exit(9)\n"
         )
         argv = ["--input", str(path), "--window", "100", "--surrogates", "1", "--qmax", "2"]
         proc = python_child(code, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -805,21 +886,29 @@ class TestStreaming:
         code = (
             "import sys\n"
             "from lzwmetrics import cli\n"
-            "if sys.argv[1] == 'forced':\n"
+            "if sys.argv[1] != 'default':\n"
             "    cli._workers = lambda: 2\n"
             "    cli._POOL_MIN_SYMBOLS = 0\n"
-            "cli.main(sys.argv[2:])\n"
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+            "if sys.argv[1] == 'crash':\n"
+            "    cli.analyze = lambda *args, **kwargs: 1 / 0\n"
+            "started, real_pool = [], cli._fork_pool\n"
+            "cli._fork_pool = lambda n: started.append(n) or real_pool(n)\n"
+            "try:\n"
+            "    cli.main(sys.argv[2:])\n"
+            "except ZeroDivisionError:\n"
+            "    started.append('crashed')\n"
+            "print(started, sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
         )
+        small = ("--generate", "bernoulli:p=0.5,n=2000", "--surrogates", "10")
         runs = {
             # surrogates off, above the break-even work
-            ("default", "--generate", "markov:eps=0.1,n=1000000", "--surrogates", "0"): "[]",
+            ("default", "--generate", "markov:eps=0.1,n=1000000", "--surrogates", "0"): "[] []",
             # surrogates on, below it
-            ("default", "--generate", "bernoulli:p=0.5,n=2000", "--surrogates", "10"): "[]",
-            # the control: a pool started
-            ("forced", "--generate", "bernoulli:p=0.5,n=2000", "--surrogates", "10"): (
-                "['concurrent.futures.process', 'multiprocessing']"
-            ),
+            ("default", *small): "[] []",
+            # the controls: a pool started, and imported neither, in a clean
+            # run and in one that a worker's exception ended
+            ("forced", *small): "[2] []",
+            ("crash", *small): "[2, 'crashed'] []",
         }
         for argv, expected in runs.items():
             proc = python_child(code, *argv, stdout=subprocess.PIPE, text=True)
