@@ -4,6 +4,14 @@ Each worker has its own task pipe and result pipe and holds one task at a
 time, so the parent always knows which task a lost worker took with it.
 It starts no thread and imports no ``multiprocessing``; the CLI loads this
 module only when a run starts a pool.
+
+A task crosses its pipe as a pickle protocol 5 stream whose buffers (the
+symbol arrays of a unit) are left out of band: first a small pickled list of
+the stream's size and each buffer's size, then the stream, then each
+buffer's bytes, written straight from the array's own memory.  The worker
+reads the stream and each buffer into a ``bytearray`` of its size and
+unpickles the stream over them, so neither side copies a unit on the way.
+Results come back as plain pickles.
 """
 
 from __future__ import annotations
@@ -43,20 +51,33 @@ class _Worker:
 
 
 def _serve(tasks: io.BufferedReader, results: io.BufferedWriter) -> None:
-    """A worker's loop: run each pickled ``(fn, args)`` read from ``tasks``
-    and write ``(result, None)``, or ``(exception, its traceback)``, to
-    ``results``, until ``tasks`` ends."""
+    """A worker's loop: run each ``(fn, args)`` read from ``tasks``, framed
+    by :func:`_frame`, and write ``(result, None)``, or ``(exception, its
+    traceback)``, to ``results``, until ``tasks`` ends."""
     while True:
         try:
-            fn, args = pickle.load(tasks)
+            stream, *buffers = map(bytearray, pickle.load(tasks))
         except EOFError:
             return
+        for buffer in (stream, *buffers):
+            if tasks.readinto(buffer) < len(buffer):
+                return  # the parent closed the pipe partway through a task
+        fn, args = pickle.loads(stream, buffers=buffers)
         try:
             reply = pickle.dumps((fn(*args), None))
         except Exception as exc:
             reply = pickle.dumps((exc, traceback.format_exc()))
         results.write(reply)
         results.flush()
+
+
+def _frame(call: tuple) -> list:
+    """What carries ``call`` to a worker: the sizes, the protocol 5 stream,
+    and a view of the memory of each buffer the stream leaves out of band."""
+    buffers = []
+    stream = pickle.dumps(call, protocol=5, buffer_callback=buffers.append)
+    views = [buffer.raw() for buffer in buffers]
+    return [pickle.dumps([len(stream)] + [view.nbytes for view in views]), stream, *views]
 
 
 def _close_pipes(workers: list[_Worker]) -> None:
@@ -155,10 +176,10 @@ class ForkPool:
             worker.task = None
 
     def _send(self, worker: _Worker, task: _Task) -> None:
-        data = pickle.dumps(task.call)
+        chunks = _frame(task.call)
         task.call, worker.task = None, task
         try:
-            worker.tasks.write(data)
+            worker.tasks.writelines(chunks)
             worker.tasks.flush()
         except BrokenPipeError:
             self._lose(worker)

@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from lzwmetrics import (
     NumericSeries,
     SymbolSequence,
     analyze,
+    _pool,
     cli,
     generate,
     metrics,
@@ -83,18 +86,23 @@ def surrogate_bits_ending_worker(death, unit_seed, surrogate, unit, seed, k):
     return metrics._surrogate_bits(unit, seed, k)
 
 
-class ExitOnLoad:
-    """Ends the process that unpickles it with exit status 3."""
-
-    def __reduce__(self):
-        return (os._exit, (3,))
-
-
-def load_after(exit_on_load, padding, reduced):
-    """Rebuild an object from its ``__reduce__`` value ``reduced``; the other
-    arguments only come before it in the pickle stream."""
+def load_after(padding, reduced):
+    """Rebuild an object from its ``__reduce__`` value ``reduced``; the
+    padding only comes before it in the pickle."""
     rebuild, args = reduced
     return rebuild(*args)
+
+
+class ExitBeforeReading(io.BufferedReader):
+    """A task pipe whose worker exits with status 3 when it is about to read
+    a buffer of ``size`` bytes."""
+
+    size = 1 << 22
+
+    def readinto(self, buffer):
+        if len(buffer) == self.size:
+            os._exit(3)
+        return super().readinto(buffer)
 
 
 class TestSymbolInput:
@@ -821,17 +829,25 @@ class TestStreaming:
         assert code == 0
         started = forced_pool(monkeypatch, 2)
         if death == "task write":
-            # b.txt's unit, seeded 41, ends each worker that unpickles it
-            # before that worker has read the 4 MiB that follow in the pipe,
-            # so the parent's write of the task fails with EPIPE
-            real_reduce = SymbolSequence.__reduce__
+            # b.txt's unit, seeded 41, pickles with 4 MiB of out-of-band
+            # padding, and each worker that takes one of its tasks exits
+            # once it has read the task's sizes and stream, before it reads
+            # the padding: the parent is then still writing the padding, and
+            # its write fails with EPIPE.  Workers are forked, so they see
+            # the patched _serve.
+            real_reduce, real_serve = SymbolSequence.__reduce__, _pool._serve
 
-            def reduce_ending_worker(unit):
+            def reduce_padded(unit):
                 if len(unit) != 301:
                     return real_reduce(unit)
-                return load_after, (ExitOnLoad(), bytes(1 << 22), real_reduce(unit))
+                padding = pickle.PickleBuffer(bytes(ExitBeforeReading.size))
+                return load_after, (padding, real_reduce(unit))
 
-            monkeypatch.setattr(SymbolSequence, "__reduce__", reduce_ending_worker)
+            def serve_ending_before_padding(tasks, results):
+                real_serve(ExitBeforeReading(tasks.detach()), results)
+
+            monkeypatch.setattr(SymbolSequence, "__reduce__", reduce_padded)
+            monkeypatch.setattr(_pool, "_serve", serve_ending_before_padding)
             error = "exit code 3"
         else:
             # the workers get the patched function by pickle, hence a partial
@@ -840,8 +856,19 @@ class TestStreaming:
             error = "exit code 3" if death == "exit" else "killed by signal 9"
             bits = partial(surrogate_bits_ending_worker, ending, 41, 2)
             monkeypatch.setattr(cli, "_surrogate_bits", bits)
+        # the exception each lost worker's task was lost to: BrokenPipeError
+        # from _send, or EOFError from the result pipe
+        lost, real_lose = [], _pool.ForkPool._lose
+
+        def lose(pool, worker):
+            lost.append(sys.exc_info()[0])
+            real_lose(pool, worker)
+
+        monkeypatch.setattr(_pool.ForkPool, "_lose", lose)
         code, out, err = run_cli(capsys, *argv)
         assert started == [2]
+        # the unit's base task and its 3 surrogate tasks, for a task write
+        assert lost == ([BrokenPipeError] * 4 if death == "task write" else [EOFError])
         assert code == 1
         a, _, c, d = clean.splitlines(keepends=True)
         assert out == a + c + d
@@ -849,6 +876,30 @@ class TestStreaming:
             {"source": str(corpus / "b.txt"), "error": f"analysis worker terminated ({error})"}
         ]
         assert_no_child_left()
+
+    @pytest.mark.parametrize("cut", [None, "stream", "buffer"], ids=["whole", "stream", "buffer"])
+    def test_a_worker_returns_quietly_from_a_task_cut_short(self, capfd, cut):
+        unit = SymbolSequence(Alphabet(300), np.arange(1000) % 300)
+        header, stream, buffer = _pool._frame((len, (unit,)))
+        assert buffer.nbytes == unit.data.nbytes
+        frame = b"".join([header, stream, buffer])
+        # the whole task; or the sizes and half the stream; or the sizes,
+        # the stream and half the buffer
+        end = {
+            None: len(frame),
+            "stream": len(header) + len(stream) // 2,
+            "buffer": len(frame) - buffer.nbytes // 2,
+        }[cut]
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        os.write(task_w, frame[:end])  # less than a pipe holds
+        os.close(task_w)
+        with open(task_r, "rb") as tasks, open(result_w, "wb") as results:
+            assert _pool._serve(tasks, results) is None
+        with open(result_r, "rb") as results:
+            replies = results.read()
+        assert replies == (pickle.dumps((1000, None)) if cut is None else b"")
+        assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_closed_stdout_ends_the_run_quietly(self, tmp_path, workers):
@@ -1230,35 +1281,42 @@ class TestDeterminism:
             runs.append((to_stdout, to_file, out_file.read_text()))
         assert runs[0] == runs[1] == runs[2]
 
-        # Units pickled to the workers and unpickled there: symbols packed at
-        # 2 bits (A = 3) and 4 bits (A = 16), at lengths and windows off a
-        # multiple of 4, and stored as uint16 (A = 300)
+        # Units pickled to the workers with their symbols out of band and
+        # unpickled there: over A = 3 and 16, at lengths and windows off a
+        # multiple of 2, 4 and 8; stored as uint16 (A = 300); and a wide
+        # unit, whose 400 kB uint16 buffer crosses through many refills of
+        # a 64 KiB pipe
         ternary = tmp_path / "ternary"
         ternary.mkdir()
         for name, n in (("a.txt", 251), ("b.txt", 130)):
             (ternary / name).write_text("".join(str(t) for t in rng.integers(0, 3, n)))
         recordings = {}
-        for A, n in ((16, 303), (300, 300)):
-            recordings[A] = tmp_path / f"rec{A}.csv"
-            recordings[A].write_text("".join(f"{v:.6f}\n" for v in rng.standard_normal(n)))
+        for name, n in (("16", 303), ("300", 300), ("wide", 200_000)):
+            recordings[name] = tmp_path / f"rec{name}.csv"
+            recordings[name].write_text("".join(f"{v:.6f}\n" for v in rng.standard_normal(n)))
         odd_window = ["--window", "61"] if window else []
         csv_input = ["--format", "csv", "--digitizer"]
         cases = [
-            (["--input", str(ternary), "--alphabet-size", "3", *odd_window], 6 if window else 2),
-            (["--input", str(recordings[16]), *csv_input, "quantiles:16", *odd_window],
+            (["--input", str(ternary), "--alphabet-size", "3", *odd_window], 3,
+             6 if window else 2),
+            (["--input", str(recordings["16"]), *csv_input, "quantiles:16", *odd_window], 3,
              4 if window else 1),
-            (["--input", str(recordings[300]), *csv_input, "quantiles:300", *window],
+            (["--input", str(recordings["300"]), *csv_input, "quantiles:300", *window], 3,
              5 if window else 1),
+            (["--input", str(recordings["wide"]), *csv_input, "quantiles:300"], 2, 1),
         ]
-        for source, reports in cases:
-            wide = [*source, "--surrogates", "3", "--qmax", "2", "--output-format", output_format]
-            wide_runs = []
+        for source, surrogates, reports in cases:
+            case = [
+                *source, "--surrogates", str(surrogates), "--qmax", "2",
+                "--output-format", output_format,
+            ]
+            case_runs = []
             for workers in (1, 2, 3):
                 started = forced_pool(monkeypatch, workers)
-                wide_runs.append(run_cli(capsys, *wide))
+                case_runs.append(run_cli(capsys, *case))
                 assert started == ([] if workers == 1 else [workers])
-            assert wide_runs[0] == wide_runs[1] == wide_runs[2], source
-            code, out, _ = wide_runs[0]
+            assert case_runs[0] == case_runs[1] == case_runs[2], source
+            code, out, _ = case_runs[0]
             assert code == 0
             assert len(out.splitlines()) == reports + (output_format == "csv")
 
