@@ -168,6 +168,29 @@ class TestPickle:
         with pytest.raises(TypeError):
             pickle.loads(pickle.dumps(packed))
 
+    @pytest.mark.parametrize(
+        "alphabet, packed, n",
+        [
+            # the old format's bad fields, counts, shapes, dtypes and sizes:
+            # none reaches a check that could let it through
+            (Alphabet(3), np.array([0b00011100], dtype=np.uint8), 4),
+            (Alphabet(5), np.array([0x15], dtype=np.uint8), 2),
+            (Alphabet(4), np.array([0, 0], dtype=np.uint8), 4),
+            (Alphabet(2), np.array([0], dtype=np.uint8), 9),
+            (Alphabet(2), np.array([0], dtype=np.uint8), -1),
+            (Alphabet(4), np.zeros((1, 1), dtype=np.uint8), 4),
+            (Alphabet(4), np.array([0], dtype=np.uint16), 4),
+            (Alphabet(17), np.array([0], dtype=np.uint8), 2),
+            (Alphabet(2), np.array([], dtype=np.uint8), 0),
+        ],
+        ids=["field-3-at-A3", "field-5-at-A5", "short", "long", "negative", "2-d",
+             "uint16", "A17", "empty"],
+    )
+    def test_tampered_packed_pickles_are_rejected(self, alphabet, packed, n):
+        message = "_unpickle_sequence() takes 2 positional arguments but 3 were given"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            pickle.loads(pickle.dumps(_RebuildPickle(alphabet, packed, n)))
+
     def test_unpickling_validates_the_symbols(self):
         with pytest.raises(ValueError, match="symbols must lie in 0..1"):
             pickle.loads(pickle.dumps(_TamperedPickle()))
