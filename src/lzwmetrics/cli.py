@@ -675,13 +675,19 @@ def emit_report(report: MetricReport, output_format: str = "json", q_max: int | 
     Floats carry 6 significant digits; None is ``null`` in JSON and empty in
     CSV.  The CSV row pads hq columns up to ``q_max`` (defaults to the
     report's own order) so every row in a run matches one header, and joins
-    the warnings with ``"; "``.
+    the warnings with ``"; "``.  A ``q_max`` below the report's order would
+    make the row wider than its header, so it raises ValueError.
     """
     if output_format == "json":
         return json.dumps({name: _json_value(get(report)) for name, get in _FIELDS})
     if output_format == "csv":
         if q_max is None:
             q_max = report.entropy.q_max
+        if q_max < report.entropy.q_max:
+            raise ValueError(
+                f"CSV columns up to q_max {q_max} cannot hold a report "
+                f"of order {report.entropy.q_max}"
+            )
         cells = []
         for name, get in _FIELDS:
             value = get(report)

@@ -71,11 +71,16 @@ def empirical_h0(seq: SymbolSequence) -> float:
 def _code_counts(grams: np.ndarray, size: int) -> np.ndarray:
     # Nonzero counts in ascending code order.  A table no longer than the
     # codes is counted by direct addressing; a larger one would cost more
-    # memory than the codes themselves, so those are sorted.
+    # memory than the codes themselves, so those are copied into the
+    # narrowest unsigned type that holds size - 1, sorted in place, and
+    # counted as the lengths of runs of equal keys.
     if size <= grams.size:
         counts = np.bincount(grams)
         return counts[counts > 0]
-    return np.unique(grams, return_counts=True)[1]
+    keys = grams.astype(np.min_scalar_type(size - 1))
+    keys.sort()
+    ends = np.flatnonzero(keys[1:] != keys[:-1])
+    return np.diff(ends, prepend=-1, append=keys.size - 1)
 
 
 def _pair_ranks(prefix: np.ndarray, symbol: np.ndarray) -> tuple[np.ndarray, int]:
@@ -139,7 +144,8 @@ def empirical_block_entropy(seq: SymbolSequence, q: int) -> float:
     ranking their (prefix rank, last symbol) pairs.  The codes are counted
     by direct addressing when their range is no larger than the number of
     windows, so the count table is never larger than the code array;
-    otherwise they are sorted.
+    otherwise a copy in the narrowest unsigned type that holds the range
+    is sorted and the counts are the lengths of its runs of equal codes.
     """
     n = len(seq)
     if q < 1:
@@ -172,9 +178,10 @@ def entropy_profile(seq: SymbolSequence, q_max: int) -> EntropyProfile:
 
     One block entropy per order 1..q_max+1; the first is h0.  Every order
     costs one pass over the codes of the order below plus one count, by
-    direct addressing or by sorting, and a rare renumbering sort where the
-    codes would overflow, as :func:`empirical_block_entropy` describes.
-    Memory stays a few code arrays of length n at every order.
+    direct addressing or by one sort of a narrow copy of the codes, and a
+    rare renumbering sort where the codes would overflow, as
+    :func:`empirical_block_entropy` describes.  Memory stays a few code
+    arrays of length n at every order.
     """
     n = len(seq)
     if q_max < 1:

@@ -185,27 +185,31 @@ def digitize_quantiles(series: NumericSeries, levels: int) -> SymbolSequence:
     """Discretize a numeric series into ``levels`` near-equally-populated bins.
 
     Cut points are the k/levels empirical quantiles for k = 1..levels-1
-    (linear interpolation between order statistics, as ``np.quantile``
-    takes them).  A sample's symbol is the number of cut points strictly
-    below it, i.e. bin k covers the half-open interval (q_k, q_{k+1}] and
-    the lowest bin is closed below.  ``levels=2`` thresholds at the median:
-    samples strictly above it map to 1, everything else (exact ties
-    included) to 0, so n distinct samples put n // 2 in bin 1.
+    (linear interpolation between the order statistics around position
+    (n - 1) * k / levels).  A sample's symbol is the number of cut points
+    strictly below it, i.e. bin k covers the half-open interval
+    (q_k, q_{k+1}] and the lowest bin is closed below.  ``levels=2``
+    thresholds at the median: samples strictly above it map to 1,
+    everything else (exact ties included) to 0, so n distinct samples put
+    n // 2 in bin 1.
 
     Each cut lies at or above the lower of its two order statistics and
     below the upper one unless they are equal, and no sample lies strictly
     between them, so exactly the samples above the lower one lie above the
-    cut.  The cuts are therefore taken as those lower order statistics
-    (``method="lower"``): exact, where a rounded interpolation can land on
-    the upper sample (1 + 2**-52 and 1 + 2**-51 would both map to 0) or
-    overflow across more than the float64 range.
+    cut.  The cuts are therefore taken as those lower order statistics,
+    read from one sort of the samples at floor((n - 1) * k / levels), the
+    index ``np.quantile(..., method="lower")`` uses: exact, where a rounded
+    interpolation can land on the upper sample (1 + 2**-52 and 1 + 2**-51
+    would both map to 0) or overflow across more than the float64 range.
 
     Symbols lie in 0..levels-1 by construction, so they are cast once to
     the storage type and kept without a range check or a further copy.
     """
     if levels < 2:
         raise ValueError(f"levels must be at least 2, got {levels}")
-    cuts = np.quantile(series.samples, np.arange(1, levels) / levels, method="lower")
+    n = len(series)
+    ranks = np.floor((n - 1) * (np.arange(1, levels) / levels)).astype(np.intp)
+    cuts = np.sort(series.samples)[ranks]
     symbols = np.searchsorted(cuts, series.samples, side="left")
     return SymbolSequence._own(Alphabet(levels), symbols.astype(_symbol_dtype(levels)))
 

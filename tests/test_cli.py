@@ -1136,6 +1136,16 @@ class TestSerialization:
         assert len(lines) == 2
         assert len(lines[1].split(",")) == len(header_fields)
 
+    def test_csv_row_narrower_than_the_report_is_refused(self):
+        # padding to fewer hq columns than the report has would give a row
+        # wider than csv_header(q_max)
+        s = SymbolSequence(Alphabet(2), np.array([0, 1, 1] * 100))
+        report = analyze(s, q_max=4, surrogates=0, seed=0)
+        with pytest.raises(ValueError, match="q_max 2 .* order 4"):
+            emit_report(report, "csv", q_max=2)
+        row = emit_report(report, "csv", q_max=5)
+        assert len(row.split(",")) == len(csv_header(5).split(","))
+
     def test_csv_pads_short_windows(self, tmp_path, capsys):
         path = tmp_path / "bits.txt"
         path.write_text("011010010110")

@@ -182,6 +182,11 @@ def profile_cases(draw):
 @example((SymbolSequence(Alphabet(17), np.arange(30) % 17), 3))  # sorting from q = 2
 @example((SymbolSequence(Alphabet(16), np.arange(40) % 5), 16))  # renumbered at q = 16
 @example((SymbolSequence(Alphabet(300), np.arange(60) * 7 % 300), 16))  # renumbered twice
+# sorted with the top code present where the sort key widens at q = 2:
+# uint8 to uint16 (289 codes), uint16 to uint32 (66,049), uint32 to uint64 (past 2**32)
+@example((SymbolSequence(Alphabet(17), np.array([0, 16, 16, 1, 16, 0] * 8)), 2))
+@example((SymbolSequence(Alphabet(257), np.array([0, 256, 256, 1, 256, 0] * 8)), 2))
+@example((SymbolSequence(Alphabet(65537), np.array([0, 65536, 65536, 1, 65536, 0] * 8)), 2))
 def test_entropy_matches_the_sorting_reference_exactly(case):
     s, q_max = case
     blocks = [_sorted_block_entropy(s, q) for q in range(1, q_max + 2)]

@@ -351,12 +351,27 @@ class TestDigitizeQuantiles:
             digitize_quantiles(NumericSeries([1.0, 2.0]), 1)
 
     def test_symbols_stay_below_levels(self):
+        # The reference is the former formula: np.quantile's lower order
+        # statistics as cuts.
         rng = np.random.default_rng(14)
-        for levels in (2, 3, 5, 9):
-            series = NumericSeries(rng.normal(size=500))
-            out = digitize_quantiles(series, levels)
+        huge = np.finfo(np.float64).max
+        cases = [(rng.normal(size=500), levels) for levels in (2, 3, 5, 9)]
+        cases += [
+            (rng.normal(size=1), 2),  # more levels than samples
+            (rng.normal(size=5), 300),
+            (rng.integers(0, 3, 200).astype(np.float64), 7),  # runs of ties
+            (rng.choice([-0.0, 0.0], 50), 3),
+            (rng.choice([-1.0, -0.0, 0.0, 1.0], 200), 8),
+            (rng.choice([-np.inf, np.inf, 0.0, 1.0], 200), 5),
+            (rng.choice([-1, 1], 200) * rng.uniform(0.94, 1, 200) * huge, 6),
+        ]
+        for samples, levels in cases:
+            out = digitize_quantiles(NumericSeries(samples), levels)
             assert out.alphabet.size == levels
             assert int(out.data.max()) < levels
+            cuts = np.quantile(samples, np.arange(1, levels) / levels, method="lower")
+            expected = np.searchsorted(cuts, samples, side="left")
+            assert out.data.tolist() == expected.tolist()
 
     def test_near_uniform_occupancy_on_distinct_samples(self):
         rng = np.random.default_rng(15)
