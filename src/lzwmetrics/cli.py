@@ -23,21 +23,14 @@ ends the run with exit status 1.
 
 Each unit is analyzed as tasks: a base report (parse and entropy profile)
 and one description length per shuffle surrogate.  Once a run with
-surrogates has enough parse work, the tasks go to a pool of forked worker
-processes, one per CPU the process may run on, with that many units in
-flight; otherwise they run in-process.  The parent only loads, cuts,
-digitizes, combines and serializes, and the reports do not depend on the
-worker count.  Fork keeps numpy imported in the workers and makes them this
-process's own children, whose CPU time and memory ``wait4`` counts.  The
-pool imports ``numpy.random`` before it forks, so the workers share one
-import of it instead of each paying for its own at its first shuffle.
-
-The pool is the package's own (``_pool``, loaded only when a run starts
-one): each worker takes one pickled task at a time through its own pipe,
-so nothing imports ``multiprocessing`` and no thread starts.  A worker
-that exits or is killed while it holds a task fails only that task's unit,
-with a failure record naming its exit code or signal; a new worker is
-forked in its place and the run goes on.
+surrogates has parse work of 10^6 symbols (the sum of n * (1 + S) over its
+units), the tasks go to a pool of forked worker processes, one per CPU the
+process may run on, with that many units in flight; otherwise they run
+in-process.  The parent only loads, cuts, digitizes, combines and
+serializes, and the reports do not depend on the worker count.  A worker
+that dies holding a task fails only that task's unit.  How workers start,
+stop and carry tasks is the pool's own business (``_pool``, loaded only
+when a run starts one).
 """
 
 from __future__ import annotations
@@ -51,7 +44,7 @@ import os
 import sys
 import warnings
 from collections import deque
-from contextlib import ExitStack, contextmanager, nullcontext, suppress
+from contextlib import ExitStack, nullcontext, suppress
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
@@ -724,34 +717,6 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-@contextmanager
-def _fork_pool(workers: int) -> Iterator[Callable]:
-    """Yield ``submit(fn, *args)`` for a pool of ``workers`` forked worker
-    processes; it returns the task's result getter.
-
-    The getter returns the task's result or raises its exception, chained to
-    the traceback it had in the worker, or a ``ChildProcessError`` naming the
-    exit code or signal of a worker that died holding the task.  Workers
-    are this process's own children and are reaped on exit, on an exception
-    too.  ``numpy.random``, which every surrogate's shuffle needs, is
-    imported before the workers fork, so they share its pages with this
-    process.
-    """
-    # Imported here: a run that never starts a pool does not load them.
-    import numpy.random  # for the workers to inherit
-
-    from ._pool import ForkPool
-
-    # Fork, not spawn: spawned workers import numpy again, about 30% more
-    # CPU time on the surrogate workloads.  The CLI starts no thread, so
-    # forking is safe.
-    pool = ForkPool(workers)
-    try:
-        yield pool.submit
-    finally:
-        pool.close()
-
-
 def _base_report(unit: SymbolSequence, q_max: int, seed: int) -> MetricReport:
     """A unit's report without surrogates: its parse and entropy profile."""
     # A pool sends this function by name, and it looks ``analyze`` up when
@@ -844,7 +809,9 @@ def run(config: RunConfig) -> int:
             if isinstance(unit, SymbolSequence) and in_flight < workers:
                 work += len(unit) * (1 + config.surrogates)
                 if work >= _POOL_MIN_SYMBOLS:
-                    submit, in_flight = pool.enter_context(_fork_pool(workers)), workers
+                    from ._pool import ForkPool  # only a run that starts a pool loads it
+
+                    submit, in_flight = pool.enter_context(ForkPool(workers)).submit, workers
             outcome = None if unit is None else _submit_unit(unit, seed, config, submit)
             pending.append((label, outcome))
             while len(pending) >= in_flight:

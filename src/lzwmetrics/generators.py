@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import _entropy_bits, h0_bernoulli
-from .sequence import _SYMBOL_LIMIT, Alphabet, SymbolSequence, _symbol_dtype
+from .sequence import _SYMBOL_LIMIT, Alphabet, SymbolSequence, _check_symbols, _symbol_dtype
 
 __all__ = [
     "DegenerateProcessError",
@@ -300,16 +300,20 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> SymbolSequence:
     order 1, as every ``markov:eps`` spec) picks a chunk's symbols with a
     few numpy passes; larger chains pick them one draw at a time.  Both
     give the symbols of the one-draw-at-a-time rule.  Sampling needs that
-    output plus one chunk of draws (under 0.33 MiB), and the returned
-    sequence keeps the output itself, without a copy or a range check.
+    output plus one chunk of draws (under 0.33 MiB).  A periodic spec's
+    pattern is range-checked and tiled in the storage type.  Every kind's
+    returned sequence keeps its output itself, without copying or scanning it.
     """
     if n < 1:
         raise ValueError(f"sequence length must be at least 1, got {n}")
     alphabet = Alphabet(spec.alphabet_size)
     if spec.kind == "periodic":
-        pattern = np.array(spec.pattern, dtype=_symbol_dtype(spec.alphabet_size))
+        # Checked before the cast: an unpickled spec's pattern is unchecked.
+        pattern = np.array(spec.pattern)
+        _check_symbols(alphabet, pattern)
+        pattern = pattern.astype(_symbol_dtype(spec.alphabet_size))
         reps = -(-n // pattern.size)
-        return SymbolSequence(alphabet, np.tile(pattern, reps)[:n])
+        return SymbolSequence._own(alphabet, np.tile(pattern, reps)[:n])
     rng = np.random.default_rng(seed)
     if spec.kind == "bernoulli":
         out = np.empty(n, dtype=np.bool_)

@@ -58,15 +58,15 @@ def forced_pool(monkeypatch, workers):
     """Make every run with surrogates start a pool of ``workers`` at once;
     returns the worker counts of the pools started."""
     started = []
-    real_pool = cli._fork_pool
+    real_init = _pool.ForkPool.__init__
 
-    def spy(n):
+    def spy(pool, n):
         started.append(n)
-        return real_pool(n)
+        real_init(pool, n)
 
     monkeypatch.setattr(cli, "_POOL_MIN_SYMBOLS", 0)
     monkeypatch.setattr(cli, "_workers", lambda: workers)
-    monkeypatch.setattr(cli, "_fork_pool", spy)
+    monkeypatch.setattr(_pool.ForkPool, "__init__", spy)
     return started
 
 
@@ -84,6 +84,11 @@ def surrogate_bits_ending_worker(death, unit_seed, surrogate, unit, seed, k):
             os.kill(os.getpid(), death)
         os._exit(death)
     return metrics._surrogate_bits(unit, seed, k)
+
+
+def look_up_missing_key(key):
+    """Raise ``KeyError(key)`` from a lookup, for a pool worker to report."""
+    return {}[key]
 
 
 def load_after(padding, reduced):
@@ -901,6 +906,30 @@ class TestStreaming:
         assert replies == (pickle.dumps((1000, None)) if cut is None else b"")
         assert capfd.readouterr() == ("", "")
 
+    def test_a_pool_closes_when_its_block_ends(self):
+        with _pool.ForkPool(2) as pool:
+            getters = [pool.submit(pow, 2, k) for k in range(5)]
+            assert [get() for get in getters] == [1, 2, 4, 8, 16]
+        assert_no_child_left()
+        # a block that raises, with a task still running, reaps its workers too
+        with pytest.raises(RuntimeError, match="left the block"):
+            with _pool.ForkPool(2) as pool:
+                pool.submit(sum, range(10**6))
+                raise RuntimeError("left the block")
+        assert_no_child_left()
+
+    def test_a_worker_exception_carries_its_remote_traceback(self):
+        with _pool.ForkPool(1) as pool:
+            get = pool.submit(look_up_missing_key, "absent")
+            with pytest.raises(KeyError, match="absent") as raised:
+                get()
+            # the worker lives on and takes the next task
+            assert pool.submit(len, "four")() == 4
+        cause = raised.value.__cause__
+        assert isinstance(cause, _pool._RemoteTraceback)
+        assert "in look_up_missing_key" in str(cause)
+        assert "KeyError: 'absent'" in str(cause)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_closed_stdout_ends_the_run_quietly(self, tmp_path, workers):
         path = tmp_path / "bits.txt"
@@ -942,8 +971,9 @@ class TestStreaming:
             "    cli._POOL_MIN_SYMBOLS = 0\n"
             "if sys.argv[1] == 'crash':\n"
             "    cli.analyze = lambda *args, **kwargs: 1 / 0\n"
-            "started, real_pool = [], cli._fork_pool\n"
-            "cli._fork_pool = lambda n: started.append(n) or real_pool(n)\n"
+            "from lzwmetrics._pool import ForkPool\n"
+            "started, real_init = [], ForkPool.__init__\n"
+            "ForkPool.__init__ = lambda pool, n: started.append(n) or real_init(pool, n)\n"
             "try:\n"
             "    cli.main(sys.argv[2:])\n"
             "except ZeroDivisionError:\n"
@@ -978,9 +1008,10 @@ class TestStreaming:
             "    return 'numpy.random' in sys.modules\n"
             "eager = imported()\n"
             "from lzwmetrics import cli\n"
+            "from lzwmetrics._pool import ForkPool\n"
             "before = imported()\n"
-            "with cli._fork_pool(2) as submit:\n"
-            "    print(eager, before, submit(imported)())\n"
+            "with ForkPool(2) as pool:\n"
+            "    print(eager, before, pool.submit(imported)())\n"
         )
         proc = python_child(code, stdout=subprocess.PIPE, text=True)
         out, _ = proc.communicate(timeout=60)

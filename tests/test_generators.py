@@ -194,12 +194,14 @@ class TestProcessSpecValidation:
 
     def test_generate_checks_a_pattern_changed_after_construction(self):
         # unpickling restores a spec's fields unchecked; generate still
-        # range-checks a periodic spec's symbols
+        # range-checks a periodic spec's symbols, also those past the storage
+        # type (uint8 here) or the int64 range
         spec = ProcessSpec.periodic([0, 1])
-        twin = copy.copy(spec)
-        twin.__setstate__(dict(spec.__dict__, pattern=(0, 5)))
-        with pytest.raises(ValueError, match="symbols must lie in 0..1"):
-            generate(pickle.loads(pickle.dumps(twin)), 6, 0)
+        for pattern in [(0, 5), (0, 300), (0, -1), (0, 2**64)]:
+            twin = copy.copy(spec)
+            twin.__setstate__(dict(spec.__dict__, pattern=pattern))
+            with pytest.raises(ValueError, match="symbols must lie in 0..1"):
+                generate(pickle.loads(pickle.dumps(twin)), 6, 0)
 
     def test_markov_with_a_transient_state_is_valid(self):
         spec = ProcessSpec.markov([[0.5, 0.5], [0.0, 1.0]])
@@ -314,6 +316,20 @@ class TestRandomKinds:
             tracemalloc.stop()
         assert s.data.dtype == np.uint8
         assert peak < 4 * n
+
+    @pytest.mark.parametrize("pattern", [[0, 1, 1], [0]], ids=["periodic", "constant"])
+    def test_periodic_output_is_kept_without_a_copy(self, pattern):
+        # the tiled pattern is the sequence's array: no copy, no second byte
+        n = 10**6
+        tracemalloc.start()
+        try:
+            s = generate(ProcessSpec.periodic(pattern), n, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.data[: 2 * len(pattern)].tolist() == pattern * 2 and len(s) == n
+        assert not s.data.flags.writeable
+        assert peak < 1.5 * n
 
     def test_bernoulli_draws_match_one_draw_of_all_uniforms(self):
         # chunked draws from one PCG64 stream: the same doubles, the same bits

@@ -45,6 +45,28 @@ def test_modules_form_no_import_cycle():
         visit(module, [])
 
 
+def test_only_the_pool_forks_or_imports_numpy_random():
+    # The pool owns how workers start: it forks them, and imports
+    # numpy.random first for them to inherit.
+    forks, imports = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "fork":
+                if isinstance(node.value, ast.Name) and node.value.id == "os":
+                    forks.add(path.stem)
+            elif isinstance(node, ast.Import):
+                if any(alias.name.startswith("numpy.random") for alias in node.names):
+                    imports.add(path.stem)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = {f"{node.module}.{alias.name}" for alias in node.names}
+                if node.module.startswith("numpy.random") or "numpy.random" in names:
+                    imports.add(path.stem)
+                if node.module == "os" and "os.fork" in names:
+                    forks.add(path.stem)
+    assert forks == {"_pool"}
+    assert imports == {"_pool"}
+
+
 def test_estimators_do_not_import_processes():
     assert "generators" not in _imports()["entropy"]
 
