@@ -13,13 +13,8 @@ pool imports ``numpy.random``, which every surrogate's shuffle needs, before
 it forks, so the workers share that import too instead of each paying for
 its own at its first shuffle.
 
-A task crosses its pipe as a pickle protocol 5 stream whose buffers (the
-symbol arrays of a unit) are left out of band: first a small pickled list of
-the stream's size and each buffer's size, then the stream, then each
-buffer's bytes, written straight from the array's own memory.  The worker
-reads the stream and each buffer into a ``bytearray`` of its size and
-unpickles the stream over them, so neither side copies a unit on the way.
-Results come back as plain pickles.
+Tasks and results each cross their pipe as one pickle, a task's at protocol
+5, which writes and reads a unit's symbols without copying them.
 """
 
 from __future__ import annotations
@@ -59,33 +54,20 @@ class _Worker:
 
 
 def _serve(tasks: io.BufferedReader, results: io.BufferedWriter) -> None:
-    """A worker's loop: run each ``(fn, args)`` read from ``tasks``, framed
-    by :func:`_frame`, and write ``(result, None)``, or ``(exception, its
-    traceback)``, to ``results``, until ``tasks`` ends."""
+    """A worker's loop: run each ``(fn, args)`` read from ``tasks`` and write
+    ``(result, None)``, or ``(exception, its traceback)``, to ``results``,
+    until ``tasks`` ends, at a task's boundary or partway through one."""
     while True:
         try:
-            stream, *buffers = map(bytearray, pickle.load(tasks))
-        except EOFError:
+            fn, args = pickle.load(tasks)
+        except (EOFError, pickle.UnpicklingError):
             return
-        for buffer in (stream, *buffers):
-            if tasks.readinto(buffer) < len(buffer):
-                return  # the parent closed the pipe partway through a task
-        fn, args = pickle.loads(stream, buffers=buffers)
         try:
             reply = pickle.dumps((fn(*args), None))
         except Exception as exc:
             reply = pickle.dumps((exc, traceback.format_exc()))
         results.write(reply)
         results.flush()
-
-
-def _frame(call: tuple) -> list:
-    """What carries ``call`` to a worker: the sizes, the protocol 5 stream,
-    and a view of the memory of each buffer the stream leaves out of band."""
-    buffers = []
-    stream = pickle.dumps(call, protocol=5, buffer_callback=buffers.append)
-    views = [buffer.raw() for buffer in buffers]
-    return [pickle.dumps([len(stream)] + [view.nbytes for view in views]), stream, *views]
 
 
 def _close_pipes(workers: list[_Worker]) -> None:
@@ -196,13 +178,18 @@ class ForkPool:
             worker.task = None
 
     def _send(self, worker: _Worker, task: _Task) -> None:
-        chunks = _frame(task.call)
-        task.call, worker.task = None, task
+        # Protocol 5, not the default 4, which would pickle a unit's symbols
+        # through a copy.  A call that fails to pickle raises here and
+        # leaves the worker idle.
         try:
-            worker.tasks.writelines(chunks)
+            pickle.dump(task.call, worker.tasks, protocol=5)
             worker.tasks.flush()
         except BrokenPipeError:
+            worker.task = task
             self._lose(worker)
+        else:
+            worker.task = task
+        task.call = None
 
     def _lose(self, worker: _Worker) -> None:
         """Reap a worker that has exited or been killed, fail the task it

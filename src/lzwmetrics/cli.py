@@ -184,6 +184,13 @@ def _parse_digitizer(text: str) -> int | None:
     raise ConfigError(f"unknown digitizer {text!r} (use median, quantiles:K, or none)")
 
 
+def _symbol(text: str) -> int:
+    """A generator's symbol, in ASCII digits as a symbol file writes it."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"symbol {text!r} is not written in ASCII digits")
+    return int(text)
+
+
 def _parse_generator_spec(text: str) -> tuple[ProcessSpec, int]:
     """The process and length of a ``--generate`` spec."""
     kind, sep, rest = text.partition(":")
@@ -213,12 +220,17 @@ def _parse_generator_spec(text: str) -> tuple[ProcessSpec, int]:
         elif kind == "markov":
             spec = symmetric_binary_markov(float(params.pop("eps")))
         elif kind == "markov-file":
-            table = np.loadtxt(table_path, delimiter=",", ndmin=2, encoding="utf-8-sig")
+            with warnings.catch_warnings():
+                # numpy warns of a file without rows; the check below says so
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(table_path, delimiter=",", ndmin=2, encoding="utf-8-sig")
+            if not table.size:
+                raise ValueError("transition table has no rows")
             spec = ProcessSpec.markov(table)
         elif kind == "periodic":
-            spec = ProcessSpec.periodic([int(ch) for ch in params.pop("pattern")])
+            spec = ProcessSpec.periodic([_symbol(ch) for ch in params.pop("pattern")])
         else:  # constant
-            spec = ProcessSpec.periodic([int(params.pop("symbol", "0"))])
+            spec = ProcessSpec.periodic([_symbol(params.pop("symbol", "0"))])
     except KeyError as exc:
         raise ConfigError(f"generator spec {text!r} is missing parameter {exc}") from None
     except OSError as exc:

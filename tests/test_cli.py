@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import signal
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -98,14 +99,20 @@ def load_after(padding, reduced):
     return rebuild(*args)
 
 
+def traced_peak(*args):
+    """The peak of the memory tracemalloc has traced in this process."""
+    return tracemalloc.get_traced_memory()[1]
+
+
 class ExitBeforeReading(io.BufferedReader):
     """A task pipe whose worker exits with status 3 when it is about to read
-    a buffer of ``size`` bytes."""
+    most of a payload of ``size`` bytes: the unpickler asks ``readinto`` only
+    for what its read-ahead has not already taken."""
 
     size = 1 << 22
 
     def readinto(self, buffer):
-        if len(buffer) == self.size:
+        if len(buffer) > self.size // 2:
             os._exit(3)
         return super().readinto(buffer)
 
@@ -362,6 +369,36 @@ class TestGeneratorInput:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert "transition rows must each sum to 1" in err
+
+    @pytest.mark.parametrize(
+        "content", [b"", b"\n\n\n", b"\xef\xbb\xbf"], ids=["empty", "newlines", "bom"]
+    )
+    def test_table_without_rows_is_config_error(self, tmp_path, capsys, content):
+        table = tmp_path / "empty.csv"
+        table.write_bytes(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "--generate", f"markov-file:{table},n=100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "transition table has no rows" in err
+
+    @pytest.mark.parametrize(
+        "spec, symbol",
+        [
+            ("constant:symbol=\u0663,n=100", "\u0663"),
+            ("periodic:pattern=\u06631,n=100", "\u0663"),
+            ("periodic:pattern=0\u00b2,n=100", "\u00b2"),
+            ("constant:symbol=+1,n=100", "+1"),
+        ],
+        ids=["constant", "periodic", "superscript-two", "plus-sign"],
+    )
+    def test_symbol_outside_ascii_digits_is_config_error(self, capsys, spec, symbol):
+        # int() reads each of these, but a symbol file holds only ASCII 0..9
+        assert run_cli(capsys, "--generate", spec) == (
+            2, "", f"error: bad generator spec {spec!r}: "
+            f"symbol {symbol!r} is not written in ASCII digits\n",
+        )
 
     def test_chain_that_does_not_settle_is_config_error(self, tmp_path, capsys, monkeypatch):
         # The law is solved when the spec is built, before any input is read,
@@ -834,12 +871,11 @@ class TestStreaming:
         assert code == 0
         started = forced_pool(monkeypatch, 2)
         if death == "task write":
-            # b.txt's unit, seeded 41, pickles with 4 MiB of out-of-band
-            # padding, and each worker that takes one of its tasks exits
-            # once it has read the task's sizes and stream, before it reads
-            # the padding: the parent is then still writing the padding, and
-            # its write fails with EPIPE.  Workers are forked, so they see
-            # the patched _serve.
+            # b.txt's unit, seeded 41, pickles after 4 MiB of padding, and
+            # each worker that takes one of its tasks exits once it has read
+            # the start of the task, before it reads the padding: the parent
+            # is then still writing the padding, and its write fails with
+            # EPIPE.  Workers are forked, so they see the patched _serve.
             real_reduce, real_serve = SymbolSequence.__reduce__, _pool._serve
 
             def reduce_padded(unit):
@@ -883,28 +919,55 @@ class TestStreaming:
         assert_no_child_left()
 
     @pytest.mark.parametrize("cut", [None, "stream", "buffer"], ids=["whole", "stream", "buffer"])
-    def test_a_worker_returns_quietly_from_a_task_cut_short(self, capfd, cut):
-        unit = SymbolSequence(Alphabet(300), np.arange(1000) % 300)
-        header, stream, buffer = _pool._frame((len, (unit,)))
-        assert buffer.nbytes == unit.data.nbytes
-        frame = b"".join([header, stream, buffer])
-        # the whole task; or the sizes and half the stream; or the sizes,
-        # the stream and half the buffer
-        end = {
-            None: len(frame),
-            "stream": len(header) + len(stream) // 2,
-            "buffer": len(frame) - buffer.nbytes // 2,
-        }[cut]
-        task_r, task_w = os.pipe()
-        result_r, result_w = os.pipe()
-        os.write(task_w, frame[:end])  # less than a pipe holds
-        os.close(task_w)
-        with open(task_r, "rb") as tasks, open(result_w, "wb") as results:
+    def test_a_worker_returns_quietly_from_a_task_cut_short(self, tmp_path, capfd, cut):
+        # 80 kB of uint16 symbols: past 64 KiB, so the pickle writes them
+        # outside its frames, straight after the first one
+        unit = SymbolSequence(Alphabet(300), np.arange(40_000) % 300)
+        task = pickle.dumps((len, (unit,)), protocol=5)
+        assert task[2:3] == pickle.FRAME
+        (frame,) = struct.unpack("<Q", task[3:11])
+        start = task.index(unit.data.tobytes())
+        assert start > 11 + frame
+        # the whole task; or half the first frame; or up to half the symbols
+        end = {None: len(task), "stream": 11 + frame // 2, "buffer": start + unit.data.nbytes // 2}
+        (tmp_path / "tasks").write_bytes(task[: end[cut]])
+        with open(tmp_path / "tasks", "rb") as tasks, open(tmp_path / "results", "wb") as results:
             assert _pool._serve(tasks, results) is None
-        with open(result_r, "rb") as results:
-            replies = results.read()
-        assert replies == (pickle.dumps((1000, None)) if cut is None else b"")
+        replies = (tmp_path / "results").read_bytes()
+        assert replies == (pickle.dumps((40_000, None)) if cut is None else b"")
         assert capfd.readouterr() == ("", "")
+
+    def test_a_task_crosses_to_its_worker_without_a_copy(self, monkeypatch):
+        # 4 MiB of symbols, through a pipe that holds far less.  Protocol 4
+        # would have the parent copy them into bytes to pickle them; a
+        # worker that read the whole stream before unpickling it would hold
+        # them twice.  Workers are forked, so they see the patched _serve.
+        unit = SymbolSequence(Alphabet(2), np.arange(1 << 22) % 2)
+        real_serve = _pool._serve
+
+        def serve_traced(tasks, results):
+            tracemalloc.start()
+            real_serve(tasks, results)
+
+        monkeypatch.setattr(_pool, "_serve", serve_traced)
+        with _pool.ForkPool(1) as pool:
+            tracemalloc.start()
+            try:
+                get = pool.submit(traced_peak, unit)
+                _, sent = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            read = get()
+        assert sent < 0.25 * unit.data.nbytes
+        assert read < 1.25 * unit.data.nbytes
+
+    def test_an_unpicklable_call_leaves_the_pool_usable(self):
+        with _pool.ForkPool(1) as pool:
+            # a local function fails to pickle before a byte is written
+            with pytest.raises((pickle.PicklingError, AttributeError)):
+                pool.submit(lambda: 0)
+            assert all(worker.task is None for worker in pool._workers.values())
+            assert pool.submit(len, "four")() == 4
 
     def test_a_pool_closes_when_its_block_ends(self):
         with _pool.ForkPool(2) as pool:
@@ -1322,11 +1385,10 @@ class TestDeterminism:
             runs.append((to_stdout, to_file, out_file.read_text()))
         assert runs[0] == runs[1] == runs[2]
 
-        # Units pickled to the workers with their symbols out of band and
-        # unpickled there: over A = 3 and 16, at lengths and windows off a
-        # multiple of 2, 4 and 8; stored as uint16 (A = 300); and a wide
-        # unit, whose 400 kB uint16 buffer crosses through many refills of
-        # a 64 KiB pipe
+        # Units pickled to the workers and unpickled there: over A = 3 and
+        # 16, at lengths and windows off a multiple of 2, 4 and 8; stored as
+        # uint16 (A = 300); and a wide unit, whose 400 kB of uint16 symbols
+        # cross through many refills of a 64 KiB pipe
         ternary = tmp_path / "ternary"
         ternary.mkdir()
         for name, n in (("a.txt", 251), ("b.txt", 130)):
