@@ -191,8 +191,8 @@ def _symbol(text: str) -> int:
     return int(text)
 
 
-def _parse_generator_spec(text: str) -> tuple[ProcessSpec, int]:
-    """The process and length of a ``--generate`` spec."""
+def _parse_generator_spec(text: str, output_path: str | None) -> tuple[ProcessSpec, int]:
+    """The process and length of a ``--generate`` spec written to ``output_path``."""
     kind, sep, rest = text.partition(":")
     if kind not in ("bernoulli", "markov", "markov-file", "periodic", "constant"):
         raise ConfigError(f"unknown generator kind {kind!r}")
@@ -204,6 +204,8 @@ def _parse_generator_spec(text: str) -> tuple[ProcessSpec, int]:
         # The path ends before the first later part with "=": it may hold commas.
         end = next((i for i in range(1, len(parts)) if "=" in parts[i]), len(parts))
         table_path, parts = ",".join(parts[:end]), parts[end:]
+        if output_path and Path(output_path).resolve() == Path(table_path).resolve():
+            raise ConfigError("--output would overwrite the markov-file table")
     params: dict[str, str] = {}
     for part in parts:
         key, eq, value = part.partition("=")
@@ -257,7 +259,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.generate is not None:
         if levels is not None:
             raise ConfigError("generated sequences are already symbolic; drop --digitizer")
-        spec, n = _parse_generator_spec(args.generate)
+        spec, n = _parse_generator_spec(args.generate, args.output)
     else:
         if input_format == "symbols" and levels is not None:
             raise ConfigError("digitizers apply to numeric input; symbol input needs --digitizer none")
@@ -316,40 +318,27 @@ def _utf8_error(path: str, exc: UnicodeDecodeError, offset: int = 0) -> ValueErr
     )
 
 
-# Bytes per block of the control-byte masks in _not_space.
-_MASK_BLOCK = 1 << 16
-
-
-def _not_space(body: np.ndarray) -> np.ndarray:
-    """Mask of the bytes that are not ASCII whitespace as ``str.split()`` sees
-    it (tab, LF, VT, FF, CR, 0x1c-0x1f and space), one byte per byte.
-
-    Range compares: a 256-entry lookup, ``table[body]``, is about 3x slower.
-    """
-    keep = body > 0x20
-    # and the control bytes that are not whitespace, 0x00-0x08 and
-    # 0x0e-0x1b (one wrapped subtraction), block by block so that their
-    # masks stay small
-    for start in range(0, body.size, _MASK_BLOCK):
-        block = body[start : start + _MASK_BLOCK]
-        keep[start : start + _MASK_BLOCK] |= (block < 0x09) | (block - 0x0e < 0x1c - 0x0e)
-    return keep
+# The tables of the one bytes.translate over a symbol file: "0".."9" become
+# 0..9, every other byte b becomes b | 0x80, past every digit, and the ASCII
+# whitespace that str.split() drops is deleted.
+_SYMBOLS = bytes(b - 0x30 if 0x30 <= b <= 0x39 else b | 0x80 for b in range(256))
+_WHITESPACE = bytes(b for b in range(0x80) if chr(b).isspace())
 
 
 def _load_symbol_file(path: str, alphabet_size: int) -> SymbolSequence:
     """Read a symbol file: ASCII as bytes, anything else as UTF-8 text.
 
-    Both reads drop one leading byte-order mark and the whitespace
-    ``str.split()`` drops.  An ASCII file is masked as a byte array and
-    never becomes a string; a file with any byte from 0x80 up is decoded,
-    so undecodable bytes and non-ASCII characters get their messages.
-    An ASCII file holds at most 3 bytes of memory per file byte at once.
+    Both reads drop the whitespace ``str.split()`` drops.  An ASCII file
+    goes through one ``bytes.translate`` and never becomes a string: at
+    most 2 bytes of memory per file byte at once, 3 where A > 256.  A file
+    with any byte from 0x80 up, a byte-order mark included, is decoded, so
+    undecodable bytes and non-ASCII characters get their messages; its
+    text drops one leading byte-order mark and takes the same translate.
     """
     # Not np.fromfile, which fails on a pipe: it asks for the file position.
     raw = Path(path).read_bytes()
-    body = np.frombuffer(raw, dtype=np.uint8, offset=3 * raw.startswith(codecs.BOM_UTF8))
     text = None
-    if body.size and body.max() >= 0x80:
+    if not raw.isascii():
         try:
             # Not "utf-8-sig": its error positions skip the byte-order mark.
             text = "".join(raw.decode("utf-8").removeprefix("\ufeff").split())
@@ -357,25 +346,22 @@ def _load_symbol_file(path: str, alphabet_size: int) -> SymbolSequence:
             raise _utf8_error(path, exc) from None
         # One byte per character: every non-ASCII character becomes "?",
         # which is no symbol digit either.
-        values = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8).copy()
-    else:
-        values = body[_not_space(body)]
+        raw = text.encode("ascii", "replace")
+    values = np.frombuffer(raw.translate(_SYMBOLS, _WHITESPACE), dtype=np.uint8)
+    del raw
     if not values.size:
         raise ValueError(f"{path}: no symbols found")
-    # The subtraction wraps every character below "0" past 9.
-    values -= ord("0")
     limit = min(alphabet_size, 10)
     if values.max() >= limit:
         first = int(np.argmax(values >= limit))
         if values[first] > 9:
-            char = text[first] if text else chr((int(values[first]) + ord("0")) % 256)
+            char = text[first] if text else chr(values[first] & 0x7F)
             raise ValueError(f"{path}: character {char!r} is not a symbol digit")
         raise ValueError(
             f"{path}: symbol {values[first]} outside alphabet of size {alphabet_size}"
         )
-    # Checked above, and cast only where A > 256 stores symbols as uint16,
-    # once the file's bytes are freed.
-    del raw, body, text
+    # Checked above, and cast only where A > 256 stores symbols as uint16.
+    del text
     values = values.astype(_symbol_dtype(alphabet_size), copy=False)
     return SymbolSequence._own(Alphabet(alphabet_size), values)
 

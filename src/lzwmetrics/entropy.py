@@ -109,17 +109,12 @@ def _block_entropies(seq: SymbolSequence, q_lo: int, q_hi: int) -> list[float]:
     blocks = []
     # Order-q codes rank the windows in lexicographic order and lie below
     # ``size``.  Order q + 1 extends them in place (drop the last code, shift
-    # by A, add the next symbol); codes that would leave int64 are first
-    # replaced by their ranks among the distinct codes.  Where even the
-    # ranks times A would leave it (A near 2**63), the windows are numbered
-    # by ranking (rank, next symbol) pairs instead.
+    # by A, add the next symbol); where that would leave int64, the windows
+    # are numbered instead by ranking their (code, next symbol) pairs.
     grams = data.astype(np.int64)
     size = A
     for q in range(1, q_hi + 1):
         if q > 1:
-            if size * A > 2**63:
-                distinct, grams = np.unique(grams, return_inverse=True)
-                size = distinct.size
             if size * A > 2**63 or A >= 2**63:
                 grams, size = _pair_ranks(grams[:-1], data[q - 1 :])
             else:
@@ -139,13 +134,12 @@ def empirical_block_entropy(seq: SymbolSequence, q: int) -> float:
     positions up to boundary terms.  Each window gets one int64 code that
     keeps the lexicographic window order, built from the order-(q-1) codes
     in one pass per order; where the next codes could overflow, the
-    order-(q-1) codes are first renumbered by rank, and where even the
-    ranks would (alphabets near 2**63), the windows are numbered by
-    ranking their (prefix rank, last symbol) pairs.  The codes are counted
-    by direct addressing when their range is no larger than the number of
-    windows, so the count table is never larger than the code array;
-    otherwise a copy in the narrowest unsigned type that holds the range
-    is sorted and the counts are the lengths of its runs of equal codes.
+    windows are numbered instead by ranking their (order-(q-1) code, last
+    symbol) pairs.  The codes are counted by direct addressing when their
+    range is no larger than the number of windows, so the count table is
+    never larger than the code array; otherwise a copy in the narrowest
+    unsigned type that holds the range is sorted and the counts are the
+    lengths of its runs of equal codes.
     """
     n = len(seq)
     if q < 1:
@@ -179,7 +173,7 @@ def entropy_profile(seq: SymbolSequence, q_max: int) -> EntropyProfile:
     One block entropy per order 1..q_max+1; the first is h0.  Every order
     costs one pass over the codes of the order below plus one count, by
     direct addressing or by one sort of a narrow copy of the codes, and a
-    rare renumbering sort where the codes would overflow, as
+    rare sort of (code, symbol) pairs where the codes would overflow, as
     :func:`empirical_block_entropy` describes.  Memory stays a few code
     arrays of length n at every order.
     """

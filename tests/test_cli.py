@@ -186,14 +186,15 @@ class TestSymbolInput:
         assert json_lines(err)[0]["error"] == f"{path}: byte 0xff at offset 5 is not valid UTF-8"
 
     def test_loading_takes_a_few_bytes_per_character(self, tmp_path):
-        # the file's bytes, one byte per byte to check, and the sequence's
-        # one-byte symbols; no int64 or UTF-32 array of the text, and no
-        # list of strings split from it.  Above A = 256 the two-byte symbols
-        # are made once the file's bytes are freed.
+        # the file's bytes and their translation, which bytes.translate
+        # sizes to the file before it drops the whitespace and which is kept
+        # as the one-byte symbols; no mask, no int64 or UTF-32 array of the
+        # text, and no list of strings split from it.  Above A = 256 the
+        # two-byte symbols are made once the file's bytes are freed.
         n = 10**6
         symbols = [str(s) for s in np.random.default_rng(3).integers(0, 4, n)]
         path = tmp_path / "symbols.txt"
-        for sep, alphabet_size, bound in (("", 4, 8), (" ", 4, 6), ("", 300, 4)):
+        for sep, alphabet_size, bound in (("", 4, 2.1), (" ", 4, 4.1), ("", 300, 4)):
             path.write_text(sep.join(symbols) + "\n")
             tracemalloc.start()
             try:
@@ -250,6 +251,24 @@ class TestSymbolInput:
             with pytest.raises(ValueError) as info:
                 cli._load_symbol_file(str(path), 2)
             assert str(info.value) == f"{path}: {outcome}"
+
+    @pytest.mark.parametrize("tail", [b"", "\u00a0".encode()], ids=["as-is", "non-ascii-tail"])
+    def test_every_ascii_byte_between_digits_reads_as_str_split_implies(self, tmp_path, tail):
+        path = tmp_path / "symbols.txt"
+        for byte in range(0x80):
+            content = b"0" + bytes([byte]) + b"1"
+            path.write_bytes(content + tail)
+            text = "".join(content.decode().split())
+            bad = [ch for ch in text if ch not in "0123456789"]
+            if bad:
+                with pytest.raises(ValueError) as info:
+                    cli._load_symbol_file(str(path), 10)
+                assert str(info.value) == (
+                    f"{path}: character {bad[0]!r} is not a symbol digit"
+                ), hex(byte)
+            else:
+                symbols = cli._load_symbol_file(str(path), 10).data.tolist()
+                assert symbols == [int(ch) for ch in text], hex(byte)
 
     def test_wider_alphabet(self, tmp_path, capsys):
         path = tmp_path / "quaternary.txt"
@@ -382,6 +401,19 @@ class TestGeneratorInput:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert "transition table has no rows" in err
+
+    def test_output_onto_the_table_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the table is read before the output opens, so the run would
+        # succeed and leave its report in place of the table
+        monkeypatch.chdir(tmp_path)
+        table = tmp_path / "t.csv"
+        table.write_text("0.9,0.1\n0.2,0.8\n")
+        before = table.read_bytes()
+        for output in ("t.csv", str(table), "./sub/../t.csv"):
+            assert run_cli(
+                capsys, "--generate", "markov-file:t.csv,n=2000", "--output", output
+            ) == (2, "", "error: --output would overwrite the markov-file table\n")
+            assert table.read_bytes() == before
 
     @pytest.mark.parametrize(
         "spec, symbol",

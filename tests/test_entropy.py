@@ -124,7 +124,7 @@ class TestBlockEntropy:
                     assert abs(got - gram_entropy_bits(bits, q)) <= 1e-12
 
     def test_wide_alphabet_fallback_path(self):
-        # A**q too large for int64 codes exercises the renumbering by rank
+        # A**q too large for int64 codes exercises the numbering by pair rank
         rng = np.random.default_rng(33)
         symbols = rng.integers(0, 5000, 64)
         s = seq(symbols, A=5000)

@@ -150,23 +150,24 @@ def _sorted_block_entropy(s, q):
 def _counters(s, q_hi):
     # The counter the profile uses at each order 1..q_hi: codes below
     # ``size`` are counted directly while size <= n - q + 1 and sorted
-    # otherwise; codes whose extension could leave int64 are renumbered by
-    # rank among the distinct (q-1)-grams first.
+    # otherwise; where extending the codes could leave int64, the q-grams
+    # are numbered by ranking their (code, last symbol) pairs instead.
     A, n = s.alphabet.size, len(s)
     size, labels = A, ["direct" if A <= n else "sort"]
     for q in range(2, q_hi + 1):
-        renumber = size * A > 2**63
-        if renumber:
-            size = len(np.unique(np.lib.stride_tricks.sliding_window_view(s.data, q - 1), axis=0))
-        size *= A
-        labels.append("renumbered" if renumber else "direct" if size <= n - q + 1 else "sort")
+        ranked = size * A > 2**63
+        if ranked:
+            size = len(np.unique(np.lib.stride_tricks.sliding_window_view(s.data, q), axis=0))
+        else:
+            size *= A
+        labels.append("pair-ranked" if ranked else "direct" if size <= n - q + 1 else "sort")
     return labels
 
 
 @st.composite
 def profile_cases(draw):
     # A = 2 over ~100 symbols counts by direct addressing up to q = 6; wide
-    # alphabets sort, and renumber at q = 8 (A = 300) or q = 16 (A = 16).
+    # alphabets sort, and pair-rank at q = 8 (A = 300) or q = 16 (A = 16).
     A = draw(st.sampled_from([2, 3, 16, 300]) | st.integers(2, 64))
     used = draw(st.lists(st.integers(0, A - 1), min_size=1, max_size=4, unique=True))
     n = draw(st.integers(2, 120))
@@ -180,8 +181,8 @@ def profile_cases(draw):
 @given(profile_cases())
 @example((SymbolSequence(Alphabet(2), np.arange(100) * 7 // 3 % 2), 5))  # direct addressing
 @example((SymbolSequence(Alphabet(17), np.arange(30) % 17), 3))  # sorting from q = 2
-@example((SymbolSequence(Alphabet(16), np.arange(40) % 5), 16))  # renumbered at q = 16
-@example((SymbolSequence(Alphabet(300), np.arange(60) * 7 % 300), 16))  # renumbered twice
+@example((SymbolSequence(Alphabet(16), np.arange(40) % 5), 16))  # pair-ranked at q = 16
+@example((SymbolSequence(Alphabet(300), np.arange(60) * 7 % 300), 16))  # pair-ranked twice
 # sorted with the top code present where the sort key widens at q = 2:
 # uint8 to uint16 (289 codes), uint16 to uint32 (66,049), uint32 to uint64 (past 2**32)
 @example((SymbolSequence(Alphabet(17), np.array([0, 16, 16, 1, 16, 0] * 8)), 2))
