@@ -11,7 +11,9 @@ to a ``csv.reader`` row parser with the same samples and messages.  CSV
 load errors cite file line numbers, blank lines counted.  One leading
 byte-order mark is dropped from every input file; error offsets still count
 its bytes.  A directory input skips the ``--output`` file if it lies
-inside, so a report is never read back as an input.
+inside, so a report is never read back as an input.  An ``--output`` that
+resolves to an input file or ``markov-file`` table, or is a hard or symbolic
+link to one, is a configuration error.
 
 Unit order, and therefore output bytes, are deterministic: paths sort
 lexicographically and windows by index.  Units stream: one input is loaded
@@ -204,7 +206,7 @@ def _parse_generator_spec(text: str, output_path: str | None) -> tuple[ProcessSp
         # The path ends before the first later part with "=": it may hold commas.
         end = next((i for i in range(1, len(parts)) if "=" in parts[i]), len(parts))
         table_path, parts = ",".join(parts[:end]), parts[end:]
-        if output_path and Path(output_path).resolve() == Path(table_path).resolve():
+        if output_path and _same_file(output_path, table_path):
             raise ConfigError("--output would overwrite the markov-file table")
     params: dict[str, str] = {}
     for part in parts:
@@ -281,7 +283,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     # The output file is opened before the first input is read.
-    if args.output and args.input and Path(args.output).resolve() == Path(args.input).resolve():
+    if args.output and args.input and _same_file(args.output, args.input):
         raise ConfigError("--output would overwrite the --input file")
 
     # The loaders are looked up in this module when a source loads, so a
@@ -566,18 +568,31 @@ def _windows(
         yield None
 
 
+def _same_file(a: str | Path, b: str | Path) -> bool:
+    """Whether two paths resolve alike or are links to one existing file."""
+    try:
+        return Path(a).resolve() == Path(b).resolve() or os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 def _sources(input_path: str, output_path: str | None) -> list[str]:
-    """The ``--input`` file, or a directory's files in sorted order."""
+    """The ``--input`` file, or a directory's files in sorted order.  The
+    ``--output`` entry, matched by its own name and not by its link target,
+    is a report, not an input; another name of its file is a ConfigError."""
     root = Path(input_path)
-    if root.is_dir():
-        # A report written into the input directory is not an input.
-        output = Path(output_path).resolve() if output_path else None
-        return sorted(
-            str(child)
-            for child in root.iterdir()
-            if child.is_file() and child.resolve() != output
-        )
-    return [str(root)]
+    if not root.is_dir():
+        return [str(root)]
+    output = Path(output_path) if output_path else None
+    in_root = output is not None and output.parent.resolve() == root.resolve()
+    sources = []
+    for child in root.iterdir():
+        if not child.is_file() or (in_root and child.name == output.name):
+            continue
+        if output is not None and _same_file(child, output):
+            raise ConfigError(f"--output would overwrite input file {child}")
+        sources.append(str(child))
+    return sorted(sources)
 
 
 def _unit_error(exc: Exception) -> str:

@@ -30,7 +30,6 @@ __all__ = [
     "RHO2_NEGATIVE_WARNING",
     "H0_DEGENERATE_WARNING",
     "DESCRIPTION_LENGTH_NOTE",
-    "H0_DEGENERATE_EPSILON",
 ]
 
 # Below this, h0 counts as zero for the rho1 denominator; exact float-zero

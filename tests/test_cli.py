@@ -1334,6 +1334,53 @@ class TestConfigErrors:
         assert err.startswith(f"error: cannot open --output {output}:")
         assert err.count("\n") == 1
 
+    # Another name for an input file must not get past the guards: the
+    # output would empty the input before it is read.
+    def test_output_hard_link_to_the_input_file_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("s.txt").write_text("0110" * 100)
+        os.link("s.txt", "s2.txt")
+        assert run_cli(capsys, "--input", "s.txt", "--output", "s2.txt") == (
+            2, "", "error: --output would overwrite the --input file\n"
+        )
+        assert Path("s.txt").read_text() == "0110" * 100
+
+    def test_output_hard_link_to_a_directory_entry_is_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("d").mkdir()
+        Path("d/a.txt").write_text("0110" * 100)
+        Path("d/b.txt").write_text("0011" * 100)
+        os.link("d/a.txt", "out.txt")
+        assert run_cli(capsys, "--input", "d", "--output", "out.txt") == (
+            2, "", "error: --output would overwrite input file d/a.txt\n"
+        )
+        assert Path("d/a.txt").read_text() == "0110" * 100
+        assert Path("d/b.txt").read_text() == "0011" * 100
+
+    def test_output_symlink_in_input_directory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # The output entry itself is skipped by its name; its target is
+        # still an input.
+        monkeypatch.chdir(tmp_path)
+        Path("d").mkdir()
+        Path("d/a.txt").write_text("0110" * 100)
+        os.symlink("a.txt", "d/out.json")
+        assert run_cli(capsys, "--input", "d", "--output", "d/out.json") == (
+            2, "", "error: --output would overwrite input file d/a.txt\n"
+        )
+        assert Path("d/a.txt").read_text() == "0110" * 100
+        assert os.readlink("d/out.json") == "a.txt"
+
+    def test_output_hard_link_to_the_table_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("t.csv").write_text("0.9,0.1\n0.2,0.8\n")
+        os.link("t.csv", "t2.csv")
+        assert run_cli(
+            capsys, "--generate", "markov-file:t.csv,n=2000", "--output", "t2.csv"
+        ) == (2, "", "error: --output would overwrite the markov-file table\n")
+        assert Path("t.csv").read_text() == "0.9,0.1\n0.2,0.8\n"
+
     def test_missing_input_file_is_unit_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "--input", str(tmp_path / "nope.txt"))
         assert code == 1

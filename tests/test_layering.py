@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 
 import lzwmetrics
-from lzwmetrics import cli
+from lzwmetrics import cli, entropy, generators, lzw, metrics, sequence
 
 PACKAGE = Path(lzwmetrics.__file__).parent
 
@@ -71,15 +71,17 @@ def test_estimators_do_not_import_processes():
     assert "generators" not in _imports()["entropy"]
 
 
+# In module order: sequence, lzw, entropy, generators, metrics.
 PUBLIC_NAMES = [
     "Alphabet", "SymbolSequence", "NumericSeries", "digitize_quantiles", "shuffle",
     "LzwResult", "CorruptStreamError", "encode", "decode", "description_length_bound",
-    "EntropyProfile", "DegenerateProcessError", "Q_MAX_LIMIT", "h0_bernoulli",
-    "empirical_h0", "empirical_block_entropy", "empirical_hq", "entropy_profile",
-    "analytic_entropy_rate", "stationary_distribution", "ProcessSpec",
-    "symmetric_binary_markov", "generate", "MetricReport", "analyze", "rho0",
-    "rho1_analytic", "rho1_surrogate", "rho2", "SHORT_SEQUENCE_WARNING",
-    "RHO2_NEGATIVE_WARNING", "H0_DEGENERATE_WARNING", "DESCRIPTION_LENGTH_NOTE",
+    "EntropyProfile", "Q_MAX_LIMIT", "h0_bernoulli", "empirical_h0",
+    "empirical_block_entropy", "empirical_hq", "entropy_profile",
+    "DegenerateProcessError", "ProcessSpec", "stationary_distribution",
+    "analytic_entropy_rate", "symmetric_binary_markov", "generate",
+    "MetricReport", "rho0", "rho1_analytic", "rho1_surrogate", "rho2", "analyze",
+    "SHORT_SEQUENCE_WARNING", "RHO2_NEGATIVE_WARNING", "H0_DEGENERATE_WARNING",
+    "DESCRIPTION_LENGTH_NOTE",
     "__version__",
 ]
 
@@ -89,6 +91,23 @@ def test_package_public_names_are_pinned():
     assert lzwmetrics.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(lzwmetrics, name), name
+
+
+def test_each_public_name_is_declared_by_one_module():
+    owner: dict[str, str] = {}
+    for module in (sequence, lzw, entropy, generators, metrics):
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)
+            assert name not in owner, f"{name} exported by {owner[name]} and {module.__name__}"
+            owner[name] = module.__name__
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace: dict[str, object] = {}
+    exec("from lzwmetrics import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(PUBLIC_NAMES)
+    assert all(namespace[name] is getattr(lzwmetrics, name) for name in PUBLIC_NAMES)
 
 
 def test_cli_public_names_are_pinned():
